@@ -9,7 +9,6 @@ from .core import (
     SimulationResult,
     TokenState,
     TokenUniverse,
-    apply_round,
     run_simulation,
     validate_snapshot,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "SimulationResult",
     "TokenState",
     "TokenUniverse",
-    "apply_round",
     "run_simulation",
     "validate_snapshot",
     "__version__",

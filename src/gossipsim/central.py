@@ -20,6 +20,8 @@ from .core import (
     RoundBudgetExhausted,
     Send,
     SimulationResult,
+    mask_tokens,
+    token_mask,
 )
 from .matching import greedy_exchange_round
 from .protocols import flood_step
@@ -137,11 +139,11 @@ def load_balance(
     state = run.state
     if set(F) | set(R) != set(range(state.n)):
         raise ValueError("full set and target set must cover all nodes")
-    needed = pool.underlying_tokens()
+    needed = token_mask(pool.underlying_tokens())
     for f in F:
-        missing = needed - state.holdings[f]
+        missing = needed & ~state.holdings[f]
         if missing:
-            raise ValueError(f"full node {f} is missing pool tokens {sorted(missing)}")
+            raise ValueError(f"full node {f} is missing pool tokens {mask_tokens(missing)}")
 
     total = len(pool)
     floor_q, rem = divmod(total, len(R))
@@ -249,7 +251,7 @@ class BroadcastOutcome:
 
 
 def _holders(state, token: int) -> int:
-    return sum(1 for v in range(state.n) if token in state.holdings[v])
+    return sum(1 for arrivals in state.arrivals if token in arrivals)
 
 
 def _flood_token(run: EngineRun, token: int, max_rounds: int) -> int:
@@ -282,19 +284,20 @@ def n_broadcast(
     """
     state = run.state
     n = state.n
-    token_set = set(tokens) if tokens is not None else set(state.holdings[source])
-    if not token_set <= state.holdings[source]:
+    holdings = state.holdings
+    token_set = token_mask(tokens) if tokens is not None else holdings[source]
+    if token_set & ~holdings[source]:
         raise ValueError("source does not hold the full broadcast set")
     if not token_set:
         return BroadcastOutcome(True, None, [])
     log2n = math.log2(max(2, n))
     stage_cap = max(1, math.ceil(params.c_stage * log2n))
     phase_cap = max(1, math.ceil(params.c_phase * math.sqrt(n) * log2n))
-    ordered = sorted(token_set)
+    ordered = mask_tokens(token_set)
     logs: list[StageLog] = []
 
     def non_full() -> list[int]:
-        return [v for v in range(n) if not token_set <= state.holdings[v]]
+        return [v for v in range(n) if token_set & ~holdings[v]]
 
     lb_counter = 0
     try:
@@ -316,7 +319,7 @@ def n_broadcast(
                 for _ in range(n):
                     if not non_full():
                         break
-                    plan = greedy_exchange_round(state, run.current_snapshot(), token_set)
+                    plan = greedy_exchange_round(state, run.current_snapshot(), ordered)
                     run.execute(plan)
                     stage_rounds += 1
             logs.append(
@@ -408,6 +411,7 @@ def k_gossip_centralized(
             if run.complete():
                 break
             group_set = set(group)
+            group_mask = token_mask(group)
             tag = f"group-{g_index}"
 
             start = run.rounds_executed
@@ -420,18 +424,19 @@ def k_gossip_centralized(
             logs.append(StageLog(f"{tag}-consolidation", run.rounds_executed - start))
 
             cover_cap = max(1, math.ceil(params.c_s * math.sqrt(n) * log2n))
-            uncovered = set(group_set)
+            holdings = state.holdings
+            uncovered = group_mask
             allocation: dict[int, list[int]] = {}
             while uncovered:
                 best = max(
                     range(n),
-                    key=lambda v: (len(state.holdings[v] & uncovered), -v),
+                    key=lambda v: ((holdings[v] & uncovered).bit_count(), -v),
                 )
-                gain = state.holdings[best] & uncovered
+                gain = holdings[best] & uncovered
                 if not gain:
                     return GossipOutcome(run.result(), logs, f"{tag}-cover-unhit", strategy)
-                allocation[best] = sorted(gain)
-                uncovered -= gain
+                allocation[best] = mask_tokens(gain)
+                uncovered &= ~gain
                 if len(allocation) > cover_cap:
                     return GossipOutcome(run.result(), logs, f"{tag}-cover-cap", strategy)
 
@@ -451,13 +456,13 @@ def k_gossip_centralized(
 
             threshold = n - math.ceil(params.c_ex * math.sqrt(n) * log2n)
             exchange_cap = math.ceil(params.c_cap * n * math.sqrt(n) * log2n)
-            counts = [len(state.holdings[v] & group_set) for v in range(n)]
+            counts = [(h & group_mask).bit_count() for h in holdings]
             start = run.rounds_executed
             while max(counts) < threshold:
                 if run.rounds_executed - start >= exchange_cap:
                     logs.append(StageLog(f"{tag}-exchange", run.rounds_executed - start))
                     return GossipOutcome(run.result(), logs, f"{tag}-exchange-cap", strategy)
-                plan = greedy_exchange_round(state, run.current_snapshot(), group_set)
+                plan = greedy_exchange_round(state, run.current_snapshot(), group)
                 arrivals = run.execute(plan)
                 for tok, node in arrivals:
                     if tok in group_set:
@@ -465,7 +470,7 @@ def k_gossip_centralized(
             logs.append(StageLog(f"{tag}-exchange", run.rounds_executed - start))
 
             best = max(range(n), key=lambda v: (counts[v], -v))
-            broadcast_set = sorted(state.holdings[best] & group_set)
+            broadcast_set = mask_tokens(holdings[best] & group_mask)
             start = run.rounds_executed
             outcome = n_broadcast(run, best, params, tokens=broadcast_set)
             logs.extend(outcome.stage_logs)

@@ -262,13 +262,75 @@ class TokenUniverse:
         return token >= self.real_count
 
 
+# Token sets as Python-int bitsets: bit t set <=> token t in the set.
+
+# _SELECT8[b][r] is the position of the r-th lowest set bit of the byte b.
+_SELECT8 = [tuple(i for i in range(8) if b >> i & 1) for b in range(256)]
+# _LOW_MASKS[k] has the lowest 2**k bits set; grown on demand.
+_LOW_MASKS: list[int] = []
+
+
+def token_mask(tokens: Iterable[int]) -> int:
+    """Bitset of a token collection."""
+    mask = 0
+    for tok in tokens:
+        mask |= 1 << tok
+    return mask
+
+
+def mask_tokens(mask: int) -> list[int]:
+    """Tokens of a bitset in ascending order."""
+    bits = bin(mask)[:1:-1]  # bit i at index i
+    out = []
+    i = bits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = bits.find("1", i + 1)
+    return out
+
+
+def select_token(mask: int, r: int) -> int:
+    """The r-th smallest token of a bitset (r counts from 0, r < popcount).
+
+    Equal to `mask_tokens(mask)[r]`: the mask is halved down to a byte by
+    popcount, then the byte's bit is looked up.
+    """
+    k = (mask.bit_length() - 1).bit_length()  # the mask fits in 2**k bits
+    if k > len(_LOW_MASKS):
+        _LOW_MASKS.extend((1 << (1 << j)) - 1 for j in range(len(_LOW_MASKS), k))
+    base = 0
+    while k > 3:
+        k -= 1
+        low = mask & _LOW_MASKS[k]
+        c = low.bit_count()
+        if r < c:
+            mask = low
+        else:
+            r -= c
+            mask >>= 1 << k
+            base += 1 << k
+    return base + _SELECT8[mask][r]
+
+
+def draw_token(mask: int, rng: random.Random) -> int:
+    """Uniform token of a nonempty bitset; the same draw as
+    `rng.choice(sorted(tokens))`, and no draw for a single token."""
+    count = mask.bit_count()
+    if count == 1:
+        return mask.bit_length() - 1
+    return select_token(mask, rng._randbelow(count))
+
+
 class TokenState:
     """Per-node token sets with first-arrival times.
 
-    Holdings only grow (store/copy/forward semantics).  `arrivals[v][tok]` is
-    the round at which `tok` first appeared at `v`; initially-held tokens have
-    arrival round 0.  `holdings_seq[v]` lists the node's tokens in arrival
-    order, which gives O(1) uniform sampling over held tokens.
+    Holdings only grow (store/copy/forward semantics).  `holdings[v]` is the
+    node's token set as a bitset, for set algebra across nodes.
+    `arrivals[v][tok]` is the round at which `tok` first appeared at `v`
+    (initially-held tokens have arrival round 0); single-token membership
+    tests use it, because a dict lookup is cheaper than a bit test on a wide
+    bitset.  `holdings_seq[v]` lists the node's tokens in arrival order,
+    which gives O(1) uniform sampling over held tokens.
     """
 
     __slots__ = (
@@ -289,7 +351,7 @@ class TokenState:
     ):
         self.n = n
         self.universe = universe
-        self.holdings: list[set[int]] = [set() for _ in range(n)]
+        self.holdings: list[int] = [0] * n
         self.holdings_seq: list[list[int]] = [[] for _ in range(n)]
         self.arrivals: list[dict[int, int]] = [{} for _ in range(n)]
         self.current_round = 0
@@ -300,20 +362,23 @@ class TokenState:
                     self._add(node, tok, 0)
 
     def _add(self, node: int, token: int, rnd: int) -> bool:
-        held = self.holdings[node]
-        if token in held:
+        arrivals = self.arrivals[node]
+        if token in arrivals:
             return False
         if not (0 <= token < self.universe.size):
             raise ValueError(f"token {token} outside universe of size {self.universe.size}")
-        held.add(token)
+        arrivals[token] = rnd
+        self.holdings[node] |= 1 << token
         self.holdings_seq[node].append(token)
-        self.arrivals[node][token] = rnd
         if token < self.universe.real_count:
             self._real_counts[node] += 1
         return True
 
     def holds(self, node: int, token: int) -> bool:
-        return token in self.holdings[node]
+        return token in self.arrivals[node]
+
+    def tokens(self, node: int) -> frozenset[int]:
+        return frozenset(self.arrivals[node])
 
     def real_count(self, node: int) -> int:
         return self._real_counts[node]
@@ -328,7 +393,7 @@ class TokenState:
     def copy(self) -> "TokenState":
         dup = TokenState(self.n, self.universe)
         dup.current_round = self.current_round
-        dup.holdings = [set(s) for s in self.holdings]
+        dup.holdings = list(self.holdings)
         dup.holdings_seq = [list(s) for s in self.holdings_seq]
         dup.arrivals = [dict(d) for d in self.arrivals]
         dup._real_counts = list(self._real_counts)
@@ -349,6 +414,7 @@ def validate_plan(plan: Sequence[Send], snapshot: NetworkSnapshot, state: TokenS
     """Raise PlanError unless every send uses a live edge, a held token, and
     each directed edge carries at most one token."""
     used: set[tuple[int, int]] = set()
+    arrivals = state.arrivals
     for send in plan:
         u, v, tok = send
         if u == v:
@@ -358,34 +424,8 @@ def validate_plan(plan: Sequence[Send], snapshot: NetworkSnapshot, state: TokenS
         if (u, v) in used:
             raise PlanError(f"directed edge ({u}, {v}) used twice")
         used.add((u, v))
-        if tok not in state.holdings[u]:
+        if tok not in arrivals[u]:
             raise PlanError(f"sender {u} does not hold token {tok}")
-
-
-def apply_round(
-    state: TokenState,
-    snapshot: NetworkSnapshot,
-    plan: Sequence[Send],
-    insertions: Sequence[InsertionEvent] = (),
-    check: bool = True,
-) -> TokenState:
-    """Execute one round: transfers and insertions land atomically.
-
-    Mutates `state` in place and returns it.  New arrivals are recorded at
-    the executed round index (current_round + 1); nothing is ever removed.
-    """
-    t = state.current_round + 1
-    if check:
-        validate_plan(plan, snapshot, state)
-        for ev in insertions:
-            if ev.round != t:
-                raise PlanError(f"insertion {ev} applied in round {t}")
-    for u, v, tok in plan:
-        state._add(v, tok, t)
-    for ev in insertions:
-        state._add(ev.node, ev.token, t)
-    state.current_round = t
-    return state
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +528,13 @@ class EngineRun:
         return derive_rng(self.seed, *keys)
 
     def execute(self, plan: Sequence[Send]) -> list[tuple[int, int]]:
-        """Apply `plan` for the next round; returns new (token, node) arrivals."""
+        """Execute the next round: `plan`'s transfers and the schedule's
+        insertions for the round land atomically.
+
+        Raises PlanError (before anything changes) if the plan is invalid.
+        New arrivals are recorded at the executed round index; nothing is
+        ever removed.  Returns the new (token, node) arrivals.
+        """
         t = self.next_round
         if t > self.max_rounds:
             raise RoundBudgetExhausted(f"round budget {self.max_rounds} exhausted")
@@ -498,16 +544,12 @@ class EngineRun:
             if not check:
                 raise ScheduleError(f"round {t}: invalid snapshot: {check.reason}")
         state = self.state
-        inserts = self._insertions.get(t, ())
         validate_plan(plan, snapshot, state)
-        for ev in inserts:
-            if ev.round != t:
-                raise PlanError(f"insertion {ev} scheduled for round {t}")
         new_arrivals: list[tuple[int, int]] = []
         for u, v, tok in plan:
             if state._add(v, tok, t):
                 new_arrivals.append((tok, v))
-        for ev in inserts:
+        for ev in self._insertions.get(t, ()):
             if state._add(ev.node, ev.token, t):
                 new_arrivals.append((ev.token, ev.node))
         state.current_round = t

@@ -260,8 +260,8 @@ def pad_state_for_kgossip(state: TokenState) -> TokenState:
     size = group_count * n
     if state.universe.size == size:
         return state
-    holdings = {v: set(state.holdings[v]) for v in range(n)}
-    holdings[0] = holdings.get(0, set()) | set(range(k, size))
+    holdings = {v: state.tokens(v) for v in range(n)}
+    holdings[0] |= set(range(k, size))
     return TokenState(n, TokenUniverse(size, k), holdings)
 
 
@@ -540,7 +540,9 @@ def measure_blocker_separation(
     """Fraction of ordered adjacent inner-node pairs, over all segment run
     rounds, whose one-sided holding difference is below sqrt(n)/16.
 
-    Holdings during round t are those with arrival time at most t-1.
+    Holdings during round t are those with arrival time at most t-1.  Each
+    inner node's holdings are kept as a bitset that grows, round by round,
+    by the node's arrivals in round order.
     """
     segments = metadata.get("segments")
     if not segments:
@@ -552,11 +554,20 @@ def measure_blocker_separation(
     for seg in segments:
         inner = seg["inner"]
         lo, hi = seg["rounds"]
+        # Per inner node: (arrival round, token) in round order, the index
+        # of the next one to take in, and the bitset taken in so far.
+        pending = [sorted((r, tok) for tok, r in arrivals[v].items()) for v in inner]
+        taken = [0] * len(inner)
+        held = [0] * len(inner)
         for t in range(lo, hi + 1):
-            for a, b in zip(inner, inner[1:]):
-                held_a = {tok for tok, r in arrivals[a].items() if r <= t - 1}
-                held_b = {tok for tok, r in arrivals[b].items() if r <= t - 1}
-                for diff in (len(held_a - held_b), len(held_b - held_a)):
+            for i, events in enumerate(pending):
+                j, mask = taken[i], held[i]
+                while j < len(events) and events[j][0] <= t - 1:
+                    mask |= 1 << events[j][1]
+                    j += 1
+                taken[i], held[i] = j, mask
+            for held_a, held_b in zip(held, held[1:]):
+                for diff in ((held_a & ~held_b).bit_count(), (held_b & ~held_a).bit_count()):
                     total += 1
                     if diff < threshold:
                         small += 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import NetworkSnapshot, Send, TokenState
+from .core import NetworkSnapshot, Send, TokenState, mask_tokens, token_mask
 
 
 @dataclass(frozen=True)
@@ -77,22 +77,27 @@ def exchange_instance(
 ) -> BipartiteInstance:
     """Build the matching instance for one receiver, optionally restricted to
     a token subset (e.g. the current reduction group)."""
+    allowed = -1 if token_filter is None else token_mask(token_filter)
+    return _exchange_instance(state, snapshot, node, allowed)
+
+
+def _exchange_instance(
+    state: TokenState, snapshot: NetworkSnapshot, node: int, allowed: int
+) -> BipartiteInstance:
+    """`exchange_instance` for a token bitset `allowed` (-1 allows all)."""
     neighbors = snapshot.adjacency[node]
-    own = state.holdings[node]
-    allowed = None if token_filter is None else set(token_filter)
-    missing: set[int] = set()
+    holdings = state.holdings
+    lacking = ~holdings[node] & allowed
+    missing = 0
     adjacency = []
     for u in neighbors:
-        for tok in state.holdings[u]:
-            if tok in own:
-                continue
-            if allowed is not None and tok not in allowed:
-                continue
-            missing.add(tok)
-            adjacency.append((u, tok))
+        offered = holdings[u] & lacking
+        if offered:
+            missing |= offered
+            adjacency.extend((u, tok) for tok in mask_tokens(offered))
     return BipartiteInstance(
         left=tuple(neighbors),
-        right=tuple(sorted(missing)),
+        right=tuple(mask_tokens(missing)),
         adjacency=frozenset(adjacency),
     )
 
@@ -104,10 +109,10 @@ def greedy_exchange_round(
 ) -> list[Send]:
     """One round maximizing, for every node, the number of new tokens it
     receives.  Returns the composed transfer plan."""
-    allowed = None if token_filter is None else set(token_filter)
+    allowed = -1 if token_filter is None else token_mask(token_filter)
     plan: list[Send] = []
     for v in range(state.n):
-        instance = exchange_instance(state, snapshot, v, allowed)
+        instance = _exchange_instance(state, snapshot, v, allowed)
         if not instance.right:
             continue
         for u, tok in sorted(max_bipartite_matching(instance)):

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .core import NetworkSnapshot, Send, TokenState
+from .core import NetworkSnapshot, Send, TokenState, draw_token
 
 
 @dataclass(frozen=True)
@@ -47,13 +47,13 @@ def build_local_view(
     neighbor_tokens = None
     if with_neighbors:
         neighbor_tokens = {
-            u: frozenset(state.holdings[u]) for u in snapshot.adjacency[node]
+            u: state.tokens(u) for u in snapshot.adjacency[node]
         }
     arrivals = dict(state.arrivals[node]) if with_arrivals else None
     return LocalView(
         node=node,
         round=state.current_round + 1,
-        own_tokens=frozenset(state.holdings[node]),
+        own_tokens=state.tokens(node),
         neighbor_tokens=neighbor_tokens,
         arrivals=arrivals,
     )
@@ -69,18 +69,15 @@ def rand_diff_step(
     """One send per directed edge: uniform over sender-minus-receiver tokens.
 
     Never idles on an edge where progress is possible; draws on distinct
-    directed edges are independent.
+    directed edges are independent.  A difference of d > 1 tokens draws
+    `r = rng._randbelow(d)` and sends its r-th smallest token (`draw_token`).
     """
     plan: list[Send] = []
     holdings = state.holdings
     for u, v in snapshot.directed_edges:
-        diff = holdings[u] - holdings[v]
+        diff = holdings[u] & ~holdings[v]
         if diff:
-            if len(diff) == 1:
-                (tok,) = diff
-            else:
-                tok = rng.choice(sorted(diff))
-            plan.append((u, v, tok))
+            plan.append((u, v, draw_token(diff, rng)))
     return plan
 
 
@@ -94,12 +91,13 @@ def sym_diff_step(
     """
     plan: list[Send] = []
     holdings = state.holdings
+    arrivals = state.arrivals
     for u, v in sorted(snapshot.edges):
         sym = holdings[u] ^ holdings[v]
         if not sym:
             continue
-        tok = sym.pop() if len(sym) == 1 else rng.choice(sorted(sym))
-        if tok in holdings[u]:
+        tok = draw_token(sym, rng)
+        if tok in arrivals[u]:
             plan.append((u, v, tok))
         else:
             plan.append((v, u, tok))
@@ -158,7 +156,8 @@ class UniformSkbPolicy(SkbPolicy):
     def sample(self, rng, round_index, node, arrivals, held_in_order):
         if not held_in_order:
             return None
-        return held_in_order[rng.randrange(len(held_in_order))]
+        # _randbelow(m) is randrange(m)'s draw for m > 0, without its checks.
+        return held_in_order[rng._randbelow(len(held_in_order))]
 
 
 def uniform_skb() -> SkbPolicy:
@@ -222,16 +221,16 @@ def skb_step(
     plan: list[Send] = []
     round_index = state.current_round + 1
     adjacency = snapshot.adjacency
-    holdings = state.holdings
+    arrivals = state.arrivals
     for node in range(state.n):
         seq = state.holdings_seq[node]
         if not seq:
             continue
-        tok = policy.sample(rng, round_index, node, state.arrivals[node], seq)
+        tok = policy.sample(rng, round_index, node, arrivals[node], seq)
         if tok is None:
             continue
         for nb in adjacency[node]:
-            if tok not in holdings[nb]:
+            if tok not in arrivals[nb]:
                 plan.append((node, nb, tok))
     return plan
 
@@ -243,10 +242,10 @@ def skb_step(
 def flood_step(token: int, state: TokenState, snapshot: NetworkSnapshot) -> list[Send]:
     """Every holder forwards the token on edges whose far end lacks it."""
     plan: list[Send] = []
-    holdings = state.holdings
+    arrivals = state.arrivals
     for u, v in snapshot.edges:
-        u_has = token in holdings[u]
-        v_has = token in holdings[v]
+        u_has = token in arrivals[u]
+        v_has = token in arrivals[v]
         if u_has and not v_has:
             plan.append((u, v, token))
         elif v_has and not u_has:

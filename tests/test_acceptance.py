@@ -398,7 +398,7 @@ def test_criterion_11_engine_invariant_fuzz():
         protocol = get_protocol(name)
         state = initial_state({"kind": "single-source"}, n, schedule)
         run = EngineRun(schedule, state, seed=seed, max_rounds=min(40, schedule.horizon), validate=True)
-        sizes = [len(s) for s in state.holdings]
+        held = [state.tokens(v) for v in range(n)]
         while not run.complete() and not run.exhausted():
             plan = protocol.plan_round(run.state, run.current_snapshot(), run.round_rng())
             try:
@@ -406,10 +406,10 @@ def test_criterion_11_engine_invariant_fuzz():
             except Exception as exc:  # noqa: BLE001 - recorded as violation
                 violations.append(("plan", spec["name"], name, repr(exc)))
                 break
-            new_sizes = [len(s) for s in run.state.holdings]
-            if any(b < a for a, b in zip(sizes, new_sizes)):
+            new_held = [run.state.tokens(v) for v in range(n)]
+            if any(not b >= a for a, b in zip(held, new_held)):
                 violations.append(("monotonicity", spec["name"], name))
-            sizes = new_sizes
+            held = new_held
             rounds_done += 1
     # centralized schedulers share the same validated execution path
     schedule = build_random_interval_connected(12, 0.2, seed=5, horizon=600)

@@ -13,8 +13,12 @@ from gossipsim.core import (
     ScheduleError,
     TokenState,
     TokenUniverse,
-    apply_round,
+    derive_rng,
+    draw_token,
+    mask_tokens,
     run_simulation,
+    select_token,
+    token_mask,
     validate_snapshot,
 )
 from gossipsim.protocols import RandDiff
@@ -60,44 +64,51 @@ class TestValidateSnapshot:
         assert validate_snapshot(NetworkSnapshot(1, [])).ok
 
 
+def one_round(state, edges, insertions=()):
+    """An engine run over one round of the graph `edges`."""
+    snap = NetworkSnapshot(state.n, edges)
+    mode = "invasive" if insertions else "oblivious"
+    schedule = AdversarySchedule(state.n, 1, [snap], list(insertions), mode)
+    return EngineRun(schedule, state, seed=0, max_rounds=1)
+
+
 class TestApplyRound:
+    """Round application through `EngineRun.execute`."""
+
     def test_send_records_arrival(self):
         state = TokenState(2, TokenUniverse(1, 1), {0: [0]})
-        snap = NetworkSnapshot(2, [(0, 1)])
-        apply_round(state, snap, [(0, 1, 0)])
+        one_round(state, [(0, 1)]).execute([(0, 1, 0)])
         assert state.holds(1, 0)
         assert state.arrivals[1][0] == 1
         assert state.current_round == 1
 
     def test_insertion_only(self):
         state = TokenState(2, TokenUniverse(2, 2), {0: [0]})
-        snap = NetworkSnapshot(2, [(0, 1)])
-        apply_round(state, snap, [], [InsertionEvent(1, 1, 1)])
+        one_round(state, [(0, 1)], [InsertionEvent(1, 1, 1)]).execute([])
         assert state.holds(1, 1)
         assert not state.holds(1, 0)
 
     def test_unheld_send_rejected(self):
         state = TokenState(2, TokenUniverse(1, 1), {0: [0]})
-        snap = NetworkSnapshot(2, [(0, 1)])
+        run = one_round(state, [(0, 1)])
         with pytest.raises(PlanError):
-            apply_round(state, snap, [(1, 0, 0)])
+            run.execute([(1, 0, 0)])
 
     def test_absent_edge_rejected(self):
         state = TokenState(3, TokenUniverse(1, 1), {0: [0]})
-        snap = NetworkSnapshot(3, [(0, 1), (1, 2)])
+        run = one_round(state, [(0, 1), (1, 2)])
         with pytest.raises(PlanError):
-            apply_round(state, snap, [(0, 2, 0)])
+            run.execute([(0, 2, 0)])
 
     def test_double_use_of_directed_edge_rejected(self):
         state = TokenState(2, TokenUniverse(2, 2), {0: [0, 1]})
-        snap = NetworkSnapshot(2, [(0, 1)])
+        run = one_round(state, [(0, 1)])
         with pytest.raises(PlanError):
-            apply_round(state, snap, [(0, 1, 0), (0, 1, 1)])
+            run.execute([(0, 1, 0), (0, 1, 1)])
 
     def test_bidirectional_sends_allowed(self):
         state = TokenState(2, TokenUniverse(2, 2), {0: [0], 1: [1]})
-        snap = NetworkSnapshot(2, [(0, 1)])
-        apply_round(state, snap, [(0, 1, 0), (1, 0, 1)])
+        one_round(state, [(0, 1)]).execute([(0, 1, 0), (1, 0, 1)])
         assert state.holds(1, 0) and state.holds(0, 1)
 
 
@@ -132,6 +143,25 @@ class TestRunSimulation:
         engine_vals.sort()
         median = (engine_vals[49] + engine_vals[50]) / 2
         assert median == 10.0
+
+    @pytest.mark.parametrize("shape", ["line", "cycle"])
+    @pytest.mark.parametrize("tokens", [130, 300])
+    def test_wide_token_sets_match_reference(self, shape, tokens):
+        # Differences of up to `tokens` tokens exercise the wide branch of
+        # the rank-select draw; the straight-line simulator sorts instead.
+        n = 10
+        if shape == "line":
+            schedule, edges = line_schedule(n), [(i, i + 1) for i in range(n - 1)]
+        else:
+            schedule, edges = cycle_schedule(n), [(i, (i + 1) % n) for i in range(n)]
+        for seed in range(3):
+            state = TokenState(n, TokenUniverse(tokens, tokens), {0: range(tokens)})
+            result = run_simulation(schedule, RandDiff(), state, 4 * tokens, seed=seed)
+            assert not result.timed_out
+            ref = reference_rand_diff_completion(
+                n, edges, {0: set(range(tokens))}, 4 * tokens, seed
+            )
+            assert result.completion_round == ref
 
     def test_timeout_marker(self):
         schedule = line_schedule(4)
@@ -216,7 +246,7 @@ def test_monotonicity_and_capacity(graph, seed):
     snap = _connect(n, extra)
     schedule = AdversarySchedule(n, 6, [snap] * 6, cyclic_extendable=True)
     state = TokenState(n, TokenUniverse(n, n), {v: [v] for v in range(n)})
-    sizes = [len(s) for s in state.holdings]
+    held = [state.tokens(v) for v in range(n)]
     run = EngineRun(schedule, state, seed=seed, max_rounds=6, validate=True)
     protocol = RandDiff()
     while not run.complete() and not run.exhausted():
@@ -225,9 +255,9 @@ def test_monotonicity_and_capacity(graph, seed):
         # never more sends than directed edges
         assert len(plan) <= 2 * len(snap.edges)
         run.execute(plan)
-        new_sizes = [len(s) for s in run.state.holdings]
-        assert all(b >= a for a, b in zip(sizes, new_sizes))
-        sizes = new_sizes
+        new_held = [run.state.tokens(v) for v in range(n)]
+        assert all(b >= a for a, b in zip(held, new_held))
+        held = new_held
 
 
 @given(connected_graph, st.integers(0, 2**32))
@@ -249,3 +279,48 @@ def test_conservation_by_arrival_replay(graph, seed):
                 for u in snap.adjacency[v]
             )
             assert ok, f"token {tok} at {v} round {rnd} has no feeder"
+
+
+# Token bitsets
+
+wide_masks = st.one_of(
+    st.integers(1, 2**5000 - 1),
+    st.sets(st.integers(0, 4999), min_size=1).map(token_mask),
+)
+
+
+def _set_bits(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+@given(wide_masks, st.integers(0, 2**32))
+@settings(max_examples=200, deadline=None)
+def test_select_token_is_rank_in_sorted_tokens(mask, r):
+    tokens = _set_bits(mask)
+    r %= len(tokens)
+    assert select_token(mask, r) == sorted(tokens)[r]
+    assert mask_tokens(mask) == tokens
+    assert token_mask(tokens) == mask
+
+
+@given(wide_masks, st.integers(0, 2**32))
+@settings(max_examples=100, deadline=None)
+def test_draw_token_is_choice_over_sorted_tokens(mask, seed):
+    tokens = sorted(_set_bits(mask))
+    rng, ref = derive_rng("draw", seed), derive_rng("draw", seed)
+    expected = tokens[0] if len(tokens) == 1 else ref.choice(tokens)
+    assert draw_token(mask, rng) == expected
+    assert rng.random() == ref.random()  # the streams stay in step
+
+
+@given(connected_graph, st.integers(0, 2**32))
+@settings(max_examples=30, deadline=None)
+def test_bitsets_agree_with_arrivals(graph, seed):
+    n, extra = graph
+    snap = _connect(n, extra)
+    schedule = AdversarySchedule(n, 8, [snap] * 8, cyclic_extendable=True)
+    state = TokenState(n, TokenUniverse(n, n), {v: [v] for v in range(n)})
+    final = run_simulation(schedule, RandDiff(), state, 8, seed=seed).final_state
+    for v in range(n):
+        assert final.holdings[v] == token_mask(final.arrivals[v])
+        assert final.holdings_seq[v] == list(final.arrivals[v])

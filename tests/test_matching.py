@@ -114,8 +114,8 @@ class TestGreedyExchange:
         for _ in range(40):
             state, snap = random_connected_state(rng)
             for u, v, tok in greedy_exchange_round(state, snap):
-                assert tok in state.holdings[u]
-                assert tok not in state.holdings[v]
+                assert state.holds(u, tok)
+                assert not state.holds(v, tok)
 
     def test_token_filter_respected(self):
         snap = NetworkSnapshot(2, [(0, 1)])

@@ -72,7 +72,7 @@ class TestRandDiff:
         expected = sum(
             1
             for u, v in snap.directed_edges
-            if state.holdings[u] - state.holdings[v]
+            if state.tokens(u) - state.tokens(v)
         )
         assert len(plan) == expected
         validate_plan(plan, snap, state)
