@@ -2,8 +2,8 @@
 
 Subcommands:
   gen         generate a schedule file (plus JSON metadata sidecar)
-  validate    structurally validate a schedule, optionally against declared
-              infrastructure and path systems
+  validate    structurally validate a schedule, optionally against the
+              infrastructure and path systems of a `gen` .paths.json file
   run         run the (n, seed) grid of a JSON experiment config
   sweep       run a grid and fit the log-log scaling slope
   separation  blocker-line holding-difference statistic from a trace
@@ -26,53 +26,42 @@ from .harness import (
     run_experiment,
     sweep,
 )
-from .paths import PathSystem, build_center_terminal, build_ring_failure, validate_paths_respecting
+from .paths import PathSystem, ring_infrastructure, ring_path_systems, validate_paths_respecting
+from .paths import center_terminal_infrastructure, center_terminal_path_systems
 
 
 def _cmd_gen(args) -> int:
     spec = {"name": args.adversary, "seed": args.seed, "horizon": args.horizon}
-    if args.policy:
-        spec["policy"] = args.policy
-    if args.r is not None:
-        spec["r"] = args.r
-    if args.extra_edge_prob is not None:
-        spec["extra_edge_prob"] = args.extra_edge_prob
-    if args.epsilon is not None:
-        spec["epsilon"] = args.epsilon
-
-    extras = None
-    if args.adversary == "ring-failure":
-        schedule, infra, systems = build_ring_failure(
-            args.n, args.policy or "round-robin", args.seed, args.horizon
-        )
-        extras = (infra, systems)
-    elif args.adversary == "center-terminal":
-        if args.r is None:
-            print("center-terminal requires --r", file=sys.stderr)
-            return 2
-        schedule, infra, systems = build_center_terminal(
-            args.n, args.r, args.seed, args.horizon
-        )
-        extras = (infra, systems)
-    else:
-        schedule = build_schedule(spec, args.n, args.seed)
-
+    for key in ("policy", "r", "extra_edge_prob", "epsilon"):
+        if getattr(args, key) is not None:
+            spec[key] = getattr(args, key)
+    if args.adversary == "center-terminal" and args.r is None:
+        print("center-terminal requires --r", file=sys.stderr)
+        return 2
+    schedule = build_schedule(spec, args.n, args.seed)
     export_schedule(schedule, args.out)
     save_metadata(schedule, default_metadata_path(args.out))
-    if extras is not None:
-        infra, systems = extras
-        payload = {
-            "infrastructure": {"n": infra.n, "edges": sorted(map(list, infra.edges))},
-            "systems": [
-                {"source": s.source, "dest": s.dest, "paths": [list(p) for p in s.paths]}
-                for s in systems
-            ],
-        }
-        Path(args.out + ".paths.json").write_text(
-            json.dumps(payload) + "\n", encoding="utf-8"
+    if args.adversary == "ring-failure":
+        _write_paths(args.out, ring_infrastructure(args.n), ring_path_systems(args.n))
+    elif args.adversary == "center-terminal":
+        _write_paths(
+            args.out,
+            center_terminal_infrastructure(args.n, args.r),
+            center_terminal_path_systems(args.n, args.r),
         )
     print(f"wrote {args.out} (n={schedule.n}, horizon={schedule.horizon}, mode={schedule.mode})")
     return 0
+
+
+def _write_paths(out: str, infra: NetworkSnapshot, systems) -> None:
+    """Write `<out>.paths.json`, holding one path system at a time."""
+    infra_json = json.dumps({"n": infra.n, "edges": sorted(map(list, infra.edges))})
+    with open(out + ".paths.json", "w", encoding="utf-8") as fh:
+        fh.write(f'{{"infrastructure": {infra_json}, "systems": [')
+        for i, s in enumerate(systems):
+            entry = {"source": s.source, "dest": s.dest, "paths": [list(p) for p in s.paths]}
+            fh.write((", " if i else "") + json.dumps(entry))
+        fh.write("]}\n")
 
 
 def _cmd_validate(args) -> int:
@@ -90,16 +79,16 @@ def _cmd_validate(args) -> int:
         if not check:
             print(f"REJECT: round {t}: {check.reason} (witness {check.witness})")
             return 1
-    if args.infra and args.paths:
+    if args.paths:
         payload = json.loads(Path(args.paths).read_text(encoding="utf-8"))
-        infra_payload = json.loads(Path(args.infra).read_text(encoding="utf-8"))
         infra = NetworkSnapshot(
-            infra_payload["n"], [tuple(e) for e in infra_payload["edges"]]
+            payload["infrastructure"]["n"],
+            [tuple(e) for e in payload["infrastructure"]["edges"]],
         )
-        systems = [
+        systems = (
             PathSystem(s["source"], s["dest"], tuple(tuple(p) for p in s["paths"]))
             for s in payload["systems"]
-        ]
+        )
         report = validate_paths_respecting(schedule, infra, systems)
         if not report.ok:
             print(f"REJECT: {report.reason} {report.violation}")
@@ -166,7 +155,6 @@ def main(argv=None) -> int:
 
     val = sub.add_parser("validate", help="validate a schedule file")
     val.add_argument("schedule")
-    val.add_argument("--infra", default=None)
     val.add_argument("--paths", default=None)
     val.set_defaults(func=_cmd_validate)
 

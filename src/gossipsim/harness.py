@@ -87,13 +87,9 @@ def build_schedule(spec: dict, n: int, fallback_seed: int) -> AdversarySchedule:
             n, spec.get("extra_edge_prob", 0.1), seed, horizon
         )
     if name == "ring-failure":
-        schedule, _, _ = build_ring_failure(
-            n, spec.get("policy", "round-robin"), seed, horizon
-        )
-        return schedule
+        return build_ring_failure(n, spec.get("policy", "round-robin"), seed, horizon)[0]
     if name == "center-terminal":
-        schedule, _, _ = build_center_terminal(n, spec["r"], seed, horizon)
-        return schedule
+        return build_center_terminal(n, spec["r"], seed, horizon)[0]
     if name == "blocker-invasive":
         return build_blocker_line_invasive(
             BlockerLineParams(n, seed, epsilon=spec.get("epsilon", DEFAULT_EPSILON))
@@ -224,17 +220,25 @@ class ExperimentConfig:
             raise ValueError("config needs nonempty n list and seeds")
         return cfg
 
-    def to_canonical_json(self) -> str:
-        payload = {
+    def to_dict(self) -> dict:
+        """The raw config form that `from_dict` reads."""
+        return {
             "adversary": self.adversary,
             "protocol": self.protocol,
             "initial": self.initial,
             "n": self.n_list,
             "seeds": self.seeds,
             "max_rounds": self.max_rounds,
+            "out": self.out,
             "stop_at_sentinel": self.stop_at_sentinel,
+            "emit_trace": self.emit_trace,
             "measure": self.measure,
         }
+
+    def to_canonical_json(self) -> str:
+        """`to_dict` without the output settings, which do not change rows."""
+        payload = self.to_dict()
+        del payload["out"], payload["emit_trace"]
         return json.dumps(payload, sort_keys=True)
 
     def content_hash(self) -> str:
@@ -308,8 +312,6 @@ def _central_params(protocol_spec: dict) -> CentralParams:
     for key in ("c_phase", "c_stage", "c_ex", "c_cap", "c_s", "mode"):
         if key in protocol_spec:
             fields[key] = protocol_spec[key]
-    if "c_S" in protocol_spec:
-        fields["c_s"] = protocol_spec["c_S"]
     return CentralParams(**fields)
 
 
@@ -339,7 +341,7 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
     if workers > 1 and len(cells) > 1:
         import multiprocessing
 
-        raw = _config_raw(config)
+        raw = config.to_dict()
         with multiprocessing.Pool(workers) as pool:
             for n, seed, comp, sent, wall, timed in pool.map(
                 _cell_task, [(raw, n, seed) for n, seed in cells]
@@ -374,7 +376,7 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
         meta_path = Path(config.out + ".meta.json")
         meta_path.write_text(
             json.dumps(
-                {"config_hash": config.content_hash(), "config": _config_raw(config)},
+                {"config_hash": config.content_hash(), "config": config.to_dict()},
                 indent=2,
                 sort_keys=True,
             )
@@ -382,21 +384,6 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
             encoding="utf-8",
         )
     return rows
-
-
-def _config_raw(config: ExperimentConfig) -> dict:
-    return {
-        "adversary": config.adversary,
-        "protocol": config.protocol,
-        "initial": config.initial,
-        "n": config.n_list,
-        "seeds": config.seeds,
-        "max_rounds": config.max_rounds,
-        "out": config.out,
-        "stop_at_sentinel": config.stop_at_sentinel,
-        "emit_trace": config.emit_trace,
-        "measure": config.measure,
-    }
 
 
 def write_rows(path: str | Path, rows: list[dict]) -> None:

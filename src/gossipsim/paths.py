@@ -15,6 +15,8 @@ Two generator families:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Iterable
 
 from .core import (
     AdversarySchedule,
@@ -71,40 +73,69 @@ class PathsReport:
 def validate_paths_respecting(
     schedule: AdversarySchedule,
     infrastructure: NetworkSnapshot,
-    systems: list[PathSystem],
+    systems: Iterable[PathSystem],
 ) -> PathsReport:
     """Check every (system, round) pair against the inactive-edge budget.
 
     Rejects outright if some snapshot uses an edge outside the
-    infrastructure; otherwise reports the first budget or structure
-    violation.
+    infrastructure; otherwise reports the first malformed system, else the
+    budget violation of the earliest round (lowest system index within it).
+    Makes one pass over `systems`, holding one system's edges at a time;
+    rounds with the same inactive-edge set are checked once, at the first.
     """
+    first_round: dict[frozenset[Edge], int] = {}
     for t, snap in enumerate(schedule.snapshots, start=1):
         extra = snap.edges - infrastructure.edges
         if extra:
             return PathsReport(
                 False, "edge-outside-infrastructure", (t, sorted(extra)[0])
             )
+        inactive = infrastructure.edges - snap.edges
+        if inactive:
+            first_round.setdefault(inactive, t)
+    witness = None
     for idx, system in enumerate(systems):
         problems = system.validate(infrastructure)
         if problems:
             return PathsReport(False, "bad-path-system", (idx, problems[0]))
-    system_edges = [
-        (idx, [e for group in system.edges() for e in group])
-        for idx, system in enumerate(systems)
-    ]
-    budgets = [len(system.paths) - 1 for system in systems]
-    for t, snap in enumerate(schedule.snapshots, start=1):
-        inactive = infrastructure.edges - snap.edges
-        if not inactive:
-            continue
-        for idx, edges in system_edges:
+        budget = len(system.paths) - 1
+        edges = [e for group in system.edges() for e in group]
+        # A set no larger than the budget can exceed it only through an
+        # edge that two paths share (the direct edge, listed twice).
+        skip_up_to = budget if len(set(edges)) == len(edges) else -1
+        for inactive, t in first_round.items():  # in round order
+            if witness is not None and t >= witness[1]:
+                break
+            if len(inactive) <= skip_up_to:
+                continue
             count = sum(1 for e in edges if e in inactive)
-            if count > budgets[idx]:
-                return PathsReport(
-                    False, "budget-exceeded", (idx, t, count, budgets[idx])
-                )
+            if count > budget:
+                witness = (idx, t, count, budget)
+                break
+    if witness is not None:
+        return PathsReport(False, "budget-exceeded", witness)
     return PathsReport(True)
+
+
+@dataclass(frozen=True)
+class PairPathSystems:
+    """The path systems of every pair s < d of n nodes, in (s, d) order.
+
+    Sized and re-iterable.  There are n(n-1)/2 systems of up to n nodes
+    each, so each is built from `route(s, d)` only when the iteration
+    reaches it; nothing per pair is stored.
+    """
+
+    n: int
+    route: Callable[[int, int], tuple[tuple[int, ...], ...]]
+
+    def __len__(self) -> int:
+        return self.n * (self.n - 1) // 2
+
+    def __iter__(self):
+        for s in range(self.n):
+            for d in range(s + 1, self.n):
+                yield PathSystem(s, d, self.route(s, d))
 
 
 # ---------------------------------------------------------------------------
@@ -115,20 +146,20 @@ def ring_infrastructure(n: int) -> NetworkSnapshot:
     return NetworkSnapshot(n, {canonical_edge(i, (i + 1) % n) for i in range(n)})
 
 
-def ring_path_systems(n: int) -> list[PathSystem]:
+def _ring_arcs(n: int, s: int, d: int) -> tuple[tuple[int, ...], ...]:
+    clockwise = tuple(range(s, d + 1))
+    counter = (s, *range(s - 1, -1, -1), *range(n - 1, d - 1, -1))
+    return (clockwise, counter)
+
+
+def ring_path_systems(n: int) -> PairPathSystems:
     """For every pair, the two arcs of the cycle (vertex-disjoint)."""
-    systems = []
-    for s in range(n):
-        for d in range(s + 1, n):
-            clockwise = tuple(range(s, d + 1))
-            counter = tuple([s] + list(range(s - 1, -1, -1)) + list(range(n - 1, d - 1, -1)))
-            systems.append(PathSystem(s, d, (clockwise, counter)))
-    return systems
+    return PairPathSystems(n, partial(_ring_arcs, n))
 
 
 def build_ring_failure(
     n: int, policy: str, seed: int, horizon: int
-) -> tuple[AdversarySchedule, NetworkSnapshot, list[PathSystem]]:
+) -> tuple[AdversarySchedule, NetworkSnapshot, PairPathSystems]:
     """n-cycle minus exactly one edge per round; emits the pair path systems.
 
     Policies: `round-robin` removes edge (t-1 mod n, t mod n) in round t,
@@ -184,32 +215,24 @@ def center_terminal_infrastructure(n: int, r: int) -> NetworkSnapshot:
     return NetworkSnapshot(n, edges)
 
 
-def center_terminal_path_systems(n: int, r: int) -> list[PathSystem]:
+def _center_routes(r: int, s: int, d: int) -> tuple[tuple[int, ...], ...]:
+    if d < r:  # center pair
+        return ((s, d),)
+    via = tuple((s, c, d) for c in range(r) if c != s)
+    if s < r:  # center-terminal pair
+        return ((s, d), *via)
+    return via  # terminal-terminal pair
+
+
+def center_terminal_path_systems(n: int, r: int) -> PairPathSystems:
     """Disjoint path families: center pairs use their direct edge (never
     failed); any pair involving a terminal routes through distinct centers."""
-    systems = []
-    centers = list(range(r))
-    for s in range(n):
-        for d in range(s + 1, n):
-            if s < r and d < r:
-                systems.append(PathSystem(s, d, ((s, d),)))
-                continue
-            paths = []
-            if s < r:  # center-terminal pair
-                paths.append((s, d))
-                for c in centers:
-                    if c != s:
-                        paths.append((s, c, d))
-            else:  # terminal-terminal pair
-                for c in centers:
-                    paths.append((s, c, d))
-            systems.append(PathSystem(s, d, tuple(paths)))
-    return systems
+    return PairPathSystems(n, partial(_center_routes, r))
 
 
 def build_center_terminal(
     n: int, r: int, seed: int, horizon: int
-) -> tuple[AdversarySchedule, NetworkSnapshot, list[PathSystem]]:
+) -> tuple[AdversarySchedule, NetworkSnapshot, PairPathSystems]:
     """Per round, floor((r-2)/2) centers lose every terminal edge.
 
     The disabled group advances by a seeded rotation (committed up front, so

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from gossipsim.cli import main as cli_main
+from gossipsim.dgs1 import schedule_to_text
 from gossipsim.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -22,6 +23,7 @@ from gossipsim.harness import (
     summarize_sweep,
     sweep,
 )
+from gossipsim.paths import center_terminal_infrastructure, center_terminal_path_systems
 
 
 def flood_config(out=None, n_list=(4,), seeds=(0,)):
@@ -72,6 +74,24 @@ class TestRunExperiment:
         run_experiment(config)
         meta = json.loads((tmp_path / "hashed.csv.meta.json").read_text())
         assert meta["config_hash"] == config.content_hash()
+
+    def test_config_hash_is_pinned(self):
+        # .meta.json files carry this digest; it must not drift.
+        raw = {
+            "adversary": {"name": "ring-failure", "policy": "round-robin", "horizon": 64},
+            "protocol": {"name": "rand-diff"},
+            "initial": {"kind": "single-source"},
+            "n": [8, 16],
+            "seeds": [1, 2],
+            "max_rounds": 500,
+            "out": "x.csv",
+            "emit_trace": True,
+        }
+        config = ExperimentConfig.from_dict(raw)
+        assert config.content_hash() == (
+            "ab17bf03d831351e71646245c46edd80146a1a3a4b99802f683c6a249aeba946"
+        )
+        assert ExperimentConfig.from_dict(config.to_dict()) == config
 
     def test_unknown_protocol_rejected(self):
         config = flood_config()
@@ -216,15 +236,35 @@ class TestCli:
         paths_file = tmp_path / "ring.dgs.paths.json"
         assert paths_file.exists()
         assert cli_main(["validate", str(out)]) == 0
-        infra_file = tmp_path / "infra.json"
-        payload = json.loads(paths_file.read_text())
-        infra_file.write_text(json.dumps(payload["infrastructure"]))
-        assert (
-            cli_main(
-                ["validate", str(out), "--infra", str(infra_file), "--paths", str(paths_file)]
-            )
-            == 0
-        )
+        assert cli_main(["validate", str(out), "--paths", str(paths_file)]) == 0
+
+    def test_gen_paths_file_lists_every_system(self, tmp_path):
+        out = tmp_path / "ct.dgs"
+        argv = ["gen", "--adversary", "center-terminal", "--n", "12", "--r", "6", "--seed", "3"]
+        assert cli_main(argv + ["--horizon", "20", "--out", str(out)]) == 0
+        infra = center_terminal_infrastructure(12, 6)
+        payload = {
+            "infrastructure": {"n": 12, "edges": sorted(map(list, infra.edges))},
+            "systems": [
+                {"source": s.source, "dest": s.dest, "paths": [list(p) for p in s.paths]}
+                for s in center_terminal_path_systems(12, 6)
+            ],
+        }
+        assert (tmp_path / "ct.dgs.paths.json").read_text() == json.dumps(payload) + "\n"
+        built = build_schedule({"name": "center-terminal", "r": 6, "horizon": 20}, 12, 3)
+        assert (tmp_path / "ct.dgs").read_text() == schedule_to_text(built)
+        no_r = ["gen", "--adversary", "center-terminal", "--n", "12", "--seed", "3"]
+        assert cli_main(no_r + ["--out", str(out)]) == 2
+
+    def test_validate_rejects_paths_violation(self, tmp_path, capsys):
+        out = tmp_path / "ring.dgs"
+        argv = ["gen", "--adversary", "ring-failure", "--n", "6", "--seed", "2", "--horizon", "4"]
+        assert cli_main(argv + ["--out", str(out)]) == 0
+        payload = json.loads((tmp_path / "ring.dgs.paths.json").read_text())
+        payload["infrastructure"]["edges"].remove([0, 1])
+        (tmp_path / "bad.paths.json").write_text(json.dumps(payload))
+        assert cli_main(["validate", str(out), "--paths", str(tmp_path / "bad.paths.json")]) == 1
+        assert "edge-outside-infrastructure" in capsys.readouterr().out
 
     def test_gen_oblivious_blocker_carries_start_distribution(self, tmp_path):
         out = tmp_path / "blk.dgs"

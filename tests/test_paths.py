@@ -1,16 +1,69 @@
 """Paths-respecting generators and validator."""
 
+import tracemalloc
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gossipsim.core import AdversarySchedule, NetworkSnapshot, canonical_edge, derive_rng, validate_snapshot
+from gossipsim.harness import build_schedule
 from gossipsim.paths import (
     PathSystem,
+    PathsReport,
     build_center_terminal,
     build_ring_failure,
     center_terminal_infrastructure,
+    center_terminal_path_systems,
     ring_infrastructure,
+    ring_path_systems,
     validate_paths_respecting,
 )
+
+
+def eager_ring_systems(n):
+    systems = []
+    for s in range(n):
+        for d in range(s + 1, n):
+            clockwise = tuple(range(s, d + 1))
+            counter = tuple([s] + list(range(s - 1, -1, -1)) + list(range(n - 1, d - 1, -1)))
+            systems.append(PathSystem(s, d, (clockwise, counter)))
+    return systems
+
+
+def eager_center_terminal_systems(n, r):
+    systems = []
+    for s in range(n):
+        for d in range(s + 1, n):
+            if s < r and d < r:
+                systems.append(PathSystem(s, d, ((s, d),)))
+            elif s < r:
+                paths = [(s, d)] + [(s, c, d) for c in range(r) if c != s]
+                systems.append(PathSystem(s, d, tuple(paths)))
+            else:
+                systems.append(PathSystem(s, d, tuple((s, c, d) for c in range(r))))
+    return systems
+
+
+def oracle_report(schedule, infrastructure, systems):
+    """Round-major reference: every round against every system, in order."""
+    systems = list(systems)
+    for t, snap in enumerate(schedule.snapshots, start=1):
+        extra = snap.edges - infrastructure.edges
+        if extra:
+            return PathsReport(False, "edge-outside-infrastructure", (t, sorted(extra)[0]))
+    for idx, system in enumerate(systems):
+        problems = system.validate(infrastructure)
+        if problems:
+            return PathsReport(False, "bad-path-system", (idx, problems[0]))
+    for t, snap in enumerate(schedule.snapshots, start=1):
+        inactive = infrastructure.edges - snap.edges
+        for idx, system in enumerate(systems):
+            count = sum(1 for group in system.edges() for e in group if e in inactive)
+            budget = len(system.paths) - 1
+            if count > budget:
+                return PathsReport(False, "budget-exceeded", (idx, t, count, budget))
+    return PathsReport(True)
 
 
 class TestRingFailure:
@@ -138,3 +191,95 @@ class TestValidatorRejections:
             mutated = AdversarySchedule(n, 12, mutated_snaps)
             report = validate_paths_respecting(mutated, infra, systems)
             assert not report.ok
+
+
+class TestLazySystems:
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_ring_systems_match_eager_enumeration(self, n):
+        systems = ring_path_systems(n)
+        assert len(systems) == n * (n - 1) // 2
+        assert list(systems) == eager_ring_systems(n)
+        assert list(systems) == eager_ring_systems(n)  # re-iterable
+
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_center_terminal_systems_match_eager_enumeration(self, n):
+        for r in range(3, n):
+            systems = center_terminal_path_systems(n, r)
+            assert len(systems) == n * (n - 1) // 2
+            assert list(systems) == eager_center_terminal_systems(n, r)
+            assert list(systems) == eager_center_terminal_systems(n, r)
+
+    def test_systems_are_not_stored(self):
+        tracemalloc.start()
+        try:
+            ring = ring_path_systems(100)
+            center = center_terminal_path_systems(100, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ring) == len(center) == 4950
+        assert peak < 64 * 1024
+
+    def test_ring_schedule_memory_is_not_cubic(self):
+        n = 256
+        tracemalloc.start()
+        try:
+            schedule = build_schedule({"name": "ring-failure", "horizon": 4 * n}, n, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert schedule.horizon == 4 * n
+        assert peak < 20 * 2**20
+
+
+@st.composite
+def mutated_paths_schedules(draw):
+    """A small ring-failure or center-terminal schedule with one to three
+    extra path edges deactivated in random rounds."""
+    seed = draw(st.integers(0, 2**16))
+    horizon = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        n = draw(st.integers(3, 9))
+        policy = draw(st.sampled_from(["round-robin", "random", "fixed-edge"]))
+        schedule, infra, systems = build_ring_failure(n, policy, seed, horizon)
+    else:
+        n = draw(st.integers(4, 10))
+        r = draw(st.integers(3, n - 1))
+        schedule, infra, systems = build_center_terminal(n, r, seed, horizon)
+    snaps = list(schedule.snapshots)
+    for _ in range(draw(st.integers(1, 3))):
+        t = draw(st.integers(0, horizon - 1))
+        if snaps[t].edges:
+            edge = draw(st.sampled_from(sorted(snaps[t].edges)))
+            snaps[t] = NetworkSnapshot(n, snaps[t].edges - {edge})
+    return AdversarySchedule(n, horizon, snaps), infra, systems
+
+
+class TestValidatorMatchesOracle:
+    @given(mutated_paths_schedules())
+    @settings(max_examples=150, deadline=None)
+    def test_one_pass_equals_round_major_oracle(self, case):
+        schedule, infra, systems = case
+        # A one-shot iterator: the validator may read the systems only once.
+        report = validate_paths_respecting(schedule, infra, iter(systems))
+        assert report == oracle_report(schedule, infra, systems)
+
+    @pytest.mark.parametrize(
+        "systems",
+        [
+            [PathSystem(0, 1, ((0, 1), (0, 1)))],  # direct edge listed twice
+            [PathSystem(0, 2, ((0, 1, 2), (0, 4, 3, 2))), PathSystem(0, 1, ((0, 1),))],
+            [PathSystem(0, 1, ((0, 1),)), PathSystem(1, 3, ((1, 2, 3), (1, 2, 3)))],
+        ],
+    )
+    def test_hand_systems_equal_oracle(self, systems):
+        infra = ring_infrastructure(5)
+        snaps = [
+            infra,
+            NetworkSnapshot(5, infra.edges - {(0, 1)}),
+            NetworkSnapshot(5, infra.edges - {(1, 2), (2, 3)}),
+        ]
+        schedule = AdversarySchedule(5, 3, snaps)
+        report = validate_paths_respecting(schedule, infra, systems)
+        assert report == oracle_report(schedule, infra, systems)
+        assert not report.ok
