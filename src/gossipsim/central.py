@@ -376,7 +376,9 @@ def k_gossip_centralized(
       ceil(sqrt(n)) rounds, (b) pick a greedy cover of token holders,
       (c) load-balance each cover node's copied-and-padded multiset over all
       nodes, (d) greedy-exchange until some node nears group completion,
-      (e) broadcast that node's set, (f) flood the leftovers.
+      (e) broadcast that node's set, (f) flood the leftovers.  The run stops
+      once every real token is everywhere: before each stage and between
+      the floods and load-balances of a stage (not inside n_broadcast).
 
     Stalls (cover too large, exchange cap, round budget) yield a marked
     outcome identifying the stage.
@@ -416,12 +418,16 @@ def k_gossip_centralized(
 
             start = run.rounds_executed
             for tok in group:
+                if run.complete():
+                    break
                 _flood_token(run, tok, max_rounds=sqrt_rounds)
                 spread = _holders(state, tok)
                 assert spread >= min(n, sqrt_rounds + 1), (
                     f"token {tok} at only {spread} nodes after consolidation"
                 )
             logs.append(StageLog(f"{tag}-consolidation", run.rounds_executed - start))
+            if run.complete():
+                break
 
             cover_cap = max(1, math.ceil(params.c_s * math.sqrt(n) * log2n))
             holdings = state.holdings
@@ -443,6 +449,8 @@ def k_gossip_centralized(
             start = run.rounds_executed
             lb_counter = 0
             for u in sorted(allocation):
+                if run.complete():
+                    break
                 copies: list[int | None] = []
                 for tok in allocation[u]:
                     copies.extend([tok] * sqrt_rounds)
@@ -453,12 +461,14 @@ def k_gossip_centralized(
                 pool = ItemPool(copies, rng)
                 load_balance(run, [u], list(range(n)), pool)
             logs.append(StageLog(f"{tag}-distribution", run.rounds_executed - start))
+            if run.complete():
+                break
 
             threshold = n - math.ceil(params.c_ex * math.sqrt(n) * log2n)
             exchange_cap = math.ceil(params.c_cap * n * math.sqrt(n) * log2n)
             counts = [(h & group_mask).bit_count() for h in holdings]
             start = run.rounds_executed
-            while max(counts) < threshold:
+            while max(counts) < threshold and not run.complete():
                 if run.rounds_executed - start >= exchange_cap:
                     logs.append(StageLog(f"{tag}-exchange", run.rounds_executed - start))
                     return GossipOutcome(run.result(), logs, f"{tag}-exchange-cap", strategy)
@@ -468,6 +478,8 @@ def k_gossip_centralized(
                     if tok in group_set:
                         counts[node] += 1
             logs.append(StageLog(f"{tag}-exchange", run.rounds_executed - start))
+            if run.complete():
+                break
 
             best = max(range(n), key=lambda v: (counts[v], -v))
             broadcast_set = mask_tokens(holdings[best] & group_mask)
@@ -479,10 +491,14 @@ def k_gossip_centralized(
                 return GossipOutcome(
                     run.result(), logs, f"{tag}-broadcast-{outcome.stalled}", strategy
                 )
+            if run.complete():
+                break
 
             start = run.rounds_executed
             residual = [tok for tok in group if _holders(state, tok) < n]
             for tok in residual:
+                if run.complete():
+                    break
                 _flood_token(run, tok, max_rounds=n)
             logs.append(
                 StageLog(

@@ -74,7 +74,10 @@ class NetworkSnapshot:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         self.n = n
-        self.edges: frozenset[Edge] = frozenset(canonical_edge(u, v) for u, v in edges)
+        # Canonical (u <= v) pairs are kept as given; others are flipped.
+        self.edges: frozenset[Edge] = frozenset(
+            [e if e[0] <= e[1] else (e[1], e[0]) for e in edges]
+        )
         self._adjacency = None
         self._directed = None
 
@@ -119,7 +122,7 @@ class NetworkSnapshot:
         return self._directed
 
     def has_edge(self, u: int, v: int) -> bool:
-        return canonical_edge(u, v) in self.edges
+        return ((u, v) if u <= v else (v, u)) in self.edges
 
 
 @dataclass

@@ -243,6 +243,21 @@ class TestKGossip:
         assert outcome.stalled is None
         assert outcome.result.completion_round is not None
 
+    def test_staged_mode_stops_at_completion(self):
+        """The benchmark's staged cell (n = 64, k = 128, p = 0.1) completes
+        during group 1's consolidation; no round runs after completion."""
+        n, k = 64, 128
+        universe = kgossip_universe(k, n)
+        for seed in (1, 2):
+            schedule = build_random_interval_connected(n, 0.1, seed=seed, horizon=2048)
+            run = fresh_run(schedule, {0: range(universe.size)}, universe, seed, n * k)
+            outcome = k_gossip_centralized(run, k, CentralParams(mode="staged"))
+            assert outcome.stalled is None
+            result = outcome.result
+            assert result.completion_round is not None
+            assert result.rounds_executed == result.completion_round
+            assert sum(log.rounds for log in outcome.stage_logs) == result.rounds_executed
+
     def test_scattered_initial_tokens(self):
         n, k = 12, 12
         universe = kgossip_universe(k, n)

@@ -1,5 +1,7 @@
-"""Random connected schedule generator: tree shapes and uniformity."""
+"""Random connected schedule generator: tree shapes, the law, the draw contract."""
 
+import hashlib
+import json
 from itertools import combinations
 
 from scipy import stats
@@ -58,10 +60,11 @@ class TestSpanningTree:
 
 class TestSchedule:
     def test_prob_zero_gives_trees(self):
-        schedule = build_random_interval_connected(8, 0.0, seed=1, horizon=20)
-        for snap in schedule.snapshots:
-            assert len(snap.edges) == 7
-            assert validate_snapshot(snap).ok
+        for p in (0.0, 1e-9):
+            schedule = build_random_interval_connected(8, p, seed=1, horizon=50)
+            for snap in schedule.snapshots:
+                assert len(snap.edges) == 7
+                assert validate_snapshot(snap).ok
 
     def test_prob_one_gives_complete_graphs(self):
         schedule = build_random_interval_connected(6, 1.0, seed=1, horizon=5)
@@ -77,3 +80,68 @@ class TestSchedule:
         a = build_random_interval_connected(9, 0.3, seed=5, horizon=10)
         b = build_random_interval_connected(9, 0.3, seed=5, horizon=10)
         assert [s.edges for s in a.snapshots] == [s.edges for s in b.snapshots]
+
+    def test_metadata_and_cyclic_tail(self):
+        schedule = build_random_interval_connected(7, 0.2, seed=4, horizon=12)
+        assert schedule.horizon == len(schedule.snapshots) == 12
+        assert schedule.cyclic_extendable
+        assert schedule.mode == "oblivious"
+        assert schedule.metadata == {
+            "generator": "random-interval-connected",
+            "params": {"n": 7, "extra_edge_prob": 0.2, "horizon": 12},
+            "seed": 4,
+        }
+
+
+class TestLaw:
+    def test_trees_uniform_over_cayley_trees(self):
+        """At p = 0 every round is one of the 16 labeled trees of K4, each
+        equally likely."""
+        trees = spanning_trees_of_k4()
+        index = {t: i for i, t in enumerate(trees)}
+        counts = [0] * 16
+        for snap in build_random_interval_connected(4, 0.0, seed=11, horizon=16000).snapshots:
+            counts[index[snap.edges]] += 1
+        assert stats.chisquare(counts).pvalue > 0.001
+
+    def test_extra_edges_independent_with_prob_p(self):
+        """At n = 6, p = 0.3: a round has n - 1 tree edges plus
+        Binomial(C(n, 2) - (n - 1), p) extra ones, and each pair is present
+        with probability 2/n + (1 - 2/n) p (a uniform tree holds a given pair
+        with probability (n - 1) / C(n, 2) = 2/n)."""
+        n, p, rounds = 6, 0.3, 6000
+        pairs = list(combinations(range(n), 2))
+        non_tree = len(pairs) - (n - 1)
+        snapshots = build_random_interval_connected(n, p, seed=12, horizon=rounds).snapshots
+
+        extras = [len(s.edges) - (n - 1) for s in snapshots]
+        assert min(extras) >= 0
+        # Bins 0..7 and one bin for 8..10, so every expected count is above 5.
+        law = stats.binom(non_tree, p)
+        observed = [extras.count(j) for j in range(8)] + [sum(e >= 8 for e in extras)]
+        expected = [rounds * law.pmf(j) for j in range(8)] + [rounds * law.sf(7)]
+        assert stats.chisquare(observed, expected).pvalue > 0.001
+        assert abs(sum(extras) / (rounds * non_tree) - p) < 0.01
+
+        q = 2 / n + (1 - 2 / n) * p
+        for pair in pairs:
+            hits = sum(pair in s.edges for s in snapshots)
+            assert stats.binomtest(hits, rounds, q).pvalue > 0.001 / len(pairs), pair
+
+    def test_prefix_stable(self):
+        """The horizon is not part of the draw key: a shorter schedule is a
+        prefix of a longer one with the same (seed, n, p)."""
+        for p in (0.0, 0.2):
+            short = build_random_interval_connected(10, p, seed=7, horizon=50)
+            long = build_random_interval_connected(10, p, seed=7, horizon=200)
+            assert [s.edges for s in short.snapshots] == [s.edges for s in long.snapshots[:50]]
+
+    def test_draw_contract_pinned(self):
+        """Any change to the random-draw stream of the generator must update
+        this digest on purpose (and be declared, since generated graphs and
+        every outcome on them change)."""
+        schedule = build_random_interval_connected(9, 0.3, seed=5, horizon=10)
+        payload = json.dumps([sorted(s.edges) for s in schedule.snapshots]).encode()
+        assert hashlib.sha256(payload).hexdigest() == (
+            "14d9da11e7f9e6299e41c6503e9ec0adb7efd25300d352b3138f12437005f66e"
+        )
