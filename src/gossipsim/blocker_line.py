@@ -43,10 +43,9 @@ from dataclasses import dataclass, field
 
 from .core import (
     AdversarySchedule,
-    InsertionEvent,
     NetworkSnapshot,
-    canonical_edge,
     derive_rng,
+    token_mask,
 )
 
 DEFAULT_EPSILON = 1.0 / 32.0  # largest scatter fraction the dilution bound tolerates
@@ -162,7 +161,7 @@ def _trajectory(params: BlockerLineParams) -> tuple[list[_Segment], list[list[in
 
 
 def _line_snapshot(n: int, order: list[int]) -> NetworkSnapshot:
-    return NetworkSnapshot(n, {canonical_edge(a, b) for a, b in zip(order, order[1:])})
+    return NetworkSnapshot(n, zip(order, order[1:]))
 
 
 def _base_metadata(
@@ -218,37 +217,43 @@ def build_blocker_line_invasive(params: BlockerLineParams) -> AdversarySchedule:
     Per segment, every blocker token of the phase's group is inserted into
     each of the interval's first sqrt(n) nodes independently with probability
     1/2 (committed at schedule-build time).  After each phase, the full group
-    is inserted at every right-line node.  Insertion events are attached to
-    the round *before* a segment starts so the scatter is visible throughout
-    the segment (round 0 events apply before the first round).
+    is inserted at every right-line node.  Insertions are attached to the
+    round *before* a segment starts so the scatter is visible throughout the
+    segment (round 0 insertions apply before the first round).  Each round
+    holds one token mask per node: a segment's scatter, merged with the
+    previous phase's right-line completion on the round they share.
     """
     rng = derive_rng(params.seed, "blocker-line", "insertions")
     groups = blocker_partition(params)
     segments, right_lines = _trajectory(params)
     snapshots: list[NetworkSnapshot] = []
-    insertions: list[InsertionEvent] = []
+    by_round: dict[int, dict[int, int]] = {}
     round_index = 0
 
     for seg in segments:
         group = groups[seg.phase - 1]
         scatter_nodes = seg.interval[: params.sqrt_n]
-        for tok in group:
-            for node in scatter_nodes:
+        # One draw per (token, node), token-major: this order fixes each
+        # seed's scatter.  Groups are contiguous: mask bit i is group[i].
+        masks = [0] * len(scatter_nodes)
+        for bit in range(len(group)):
+            for i in range(len(scatter_nodes)):
                 if rng.random() < 0.5:
-                    insertions.append(InsertionEvent(round_index, node, tok))
+                    masks[i] |= 1 << bit
+        at = by_round.setdefault(round_index, {})
+        for node, mask in zip(scatter_nodes, masks):
+            if mask:
+                at[node] = at.get(node, 0) | mask << group[0]
         snapshots.extend([_line_snapshot(params.n, seg.line)] * params.segment_rounds)
         round_index += params.segment_rounds
         if seg.index == params.segments_per_phase:
-            for node in right_lines[seg.phase - 1]:
-                for tok in group:
-                    insertions.append(InsertionEvent(round_index, node, tok))
+            by_round[round_index] = dict.fromkeys(right_lines[seg.phase - 1], token_mask(group))
 
-    insertions.sort(key=lambda ev: (ev.round, ev.node, ev.token))
     return AdversarySchedule(
         n=params.n,
         horizon=round_index,
         snapshots=snapshots,
-        insertions=insertions,
+        insertion_masks={t: sorted(at.items()) for t, at in by_round.items() if at},
         mode="invasive",
         metadata=_base_metadata(params, "invasive", segments, right_lines),
         cyclic_extendable=True,
@@ -303,7 +308,6 @@ def build_blocker_line_oblivious(params: BlockerLineParams) -> AdversarySchedule
         n=params.n,
         horizon=len(snapshots),
         snapshots=snapshots,
-        insertions=[],
         mode="oblivious",
         metadata=meta,
         cyclic_extendable=True,

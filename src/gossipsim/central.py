@@ -31,10 +31,6 @@ class LoadBalanceStalled(RuntimeError):
     """Relay pipeline made no progress within its safety allowance."""
 
 
-class CoverSetError(RuntimeError):
-    """Greedy cover needed more nodes than the stage allows."""
-
-
 @dataclass
 class StageLog:
     stage: str
@@ -280,7 +276,9 @@ def n_broadcast(
     one item per token over the currently non-full nodes, then runs n greedy
     exchange rounds.  Stage count is capped at ceil(c_stage * log2 n) and
     phases per stage at ceil(c_phase * sqrt(n) * log2 n); exhausting the caps
-    yields a marked outcome, never a silent loop.
+    yields a marked outcome, never a silent loop.  The broadcast also ends,
+    as done, once the run is complete: dummy tokens of the set (k-gossip
+    padding) that are not yet everywhere are left where they are.
     """
     state = run.state
     n = state.n
@@ -297,6 +295,8 @@ def n_broadcast(
     logs: list[StageLog] = []
 
     def non_full() -> list[int]:
+        if run.complete():
+            return []
         return [v for v in range(n) if token_set & ~holdings[v]]
 
     lb_counter = 0
@@ -377,8 +377,9 @@ def k_gossip_centralized(
       (c) load-balance each cover node's copied-and-padded multiset over all
       nodes, (d) greedy-exchange until some node nears group completion,
       (e) broadcast that node's set, (f) flood the leftovers.  The run stops
-      once every real token is everywhere: before each stage and between
-      the floods and load-balances of a stage (not inside n_broadcast).
+      once every real token is everywhere: before each stage, between the
+      floods and load-balances of a stage, and between n_broadcast's
+      load-balances and exchange rounds.
 
     Stalls (cover too large, exchange cap, round budget) yield a marked
     outcome identifying the stage.

@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Protocol, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Protocol, Sequence
 
 NodeId = int
 TokenId = int
@@ -176,17 +176,32 @@ def validate_snapshot(snapshot: NetworkSnapshot) -> SnapshotCheck:
 # Schedules
 
 
-@dataclass(frozen=True)
-class InsertionEvent:
-    """Pre-committed token insertion: token appears at node at end of round.
-
-    Round 0 events apply before the first round (arrival time 0).  Only
-    invasive-mode schedules may carry insertions.
-    """
+class InsertionEvent(NamedTuple):
+    """One (round, node, token) insertion of a schedule's expanded view."""
 
     round: int
     node: NodeId
     token: TokenId
+
+
+class InsertionView:
+    """A schedule's insertions as events in (round, node, token) order, made
+    while iterating; `len` counts mask bits."""
+
+    def __init__(self, masks: Mapping[int, list[tuple[int, int]]]):
+        self._masks = masks
+
+    def __len__(self) -> int:
+        return sum(mask.bit_count() for pairs in self._masks.values() for _, mask in pairs)
+
+    def __eq__(self, other):
+        return list(self) == list(other)
+
+    def __iter__(self):
+        for t in sorted(self._masks):
+            for node, mask in self._masks[t]:
+                for tok in mask_tokens(mask):
+                    yield InsertionEvent(t, node, tok)
 
 
 @dataclass
@@ -195,13 +210,16 @@ class AdversarySchedule:
 
     `snapshots[t-1]` is the graph for round t (rounds are 1-indexed).  When
     `cyclic_extendable` is set, rounds beyond the horizon repeat the final
-    snapshot (a static, still-connected tail).
+    snapshot (a static, still-connected tail).  `insertion_masks[t]` holds
+    round t's insertions as ascending (node, token mask) pairs: the tokens
+    appear at the node at the end of round t, and round 0's before the first
+    round (arrival time 0).  Only invasive-mode schedules may carry them.
     """
 
     n: int
     horizon: int
     snapshots: list[NetworkSnapshot]
-    insertions: list[InsertionEvent] = field(default_factory=list)
+    insertion_masks: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
     mode: str = "oblivious"  # "oblivious" | "invasive"
     metadata: dict = field(default_factory=dict)
     cyclic_extendable: bool = False
@@ -215,11 +233,12 @@ class AdversarySchedule:
             return self.snapshots[-1]
         raise ScheduleError(f"round {t} beyond horizon {self.horizon} (not extendable)")
 
-    def insertions_by_round(self) -> dict[int, list[InsertionEvent]]:
-        by_round: dict[int, list[InsertionEvent]] = {}
-        for ev in self.insertions:
-            by_round.setdefault(ev.round, []).append(ev)
-        return by_round
+    def insertions_at(self, t: int) -> list[tuple[int, int]]:
+        return self.insertion_masks.get(t, [])
+
+    @property
+    def insertions(self) -> InsertionView:
+        return InsertionView(self.insertion_masks)
 
     def validate(self) -> list[str]:
         """Structural checks; returns a list of problems (empty means valid)."""
@@ -230,7 +249,7 @@ class AdversarySchedule:
             )
         if self.mode not in ("oblivious", "invasive"):
             problems.append(f"unknown mode {self.mode!r}")
-        if self.mode == "oblivious" and self.insertions:
+        if self.mode == "oblivious" and any(self.insertion_masks.values()):
             problems.append("oblivious schedule carries insertion events")
         for t, snap in enumerate(self.snapshots, start=1):
             if snap.n != self.n:
@@ -239,9 +258,9 @@ class AdversarySchedule:
             if not check:
                 problems.append(f"round {t}: {check.reason} (witness {check.witness})")
                 break
-        for ev in self.insertions:
-            if not (0 <= ev.round <= self.horizon):
-                problems.append(f"insertion round {ev.round} outside [0, {self.horizon}]")
+        for t in self.insertion_masks:
+            if not (0 <= t <= self.horizon):
+                problems.append(f"insertion round {t} outside [0, {self.horizon}]")
                 break
         return problems
 
@@ -361,21 +380,34 @@ class TokenState:
         self._real_counts = [0] * n
         if initial:
             for node, tokens in initial.items():
-                for tok in sorted(set(tokens)):
-                    self._add(node, tok, 0)
+                self.add_mask(node, token_mask(tokens), 0)
 
     def _add(self, node: int, token: int, rnd: int) -> bool:
+        """Add a sent token: its sender holds it, so it is in the universe."""
         arrivals = self.arrivals[node]
         if token in arrivals:
             return False
-        if not (0 <= token < self.universe.size):
-            raise ValueError(f"token {token} outside universe of size {self.universe.size}")
         arrivals[token] = rnd
         self.holdings[node] |= 1 << token
         self.holdings_seq[node].append(token)
         if token < self.universe.real_count:
             self._real_counts[node] += 1
         return True
+
+    def add_mask(self, node: int, mask: int, rnd: int) -> list[int]:
+        """Add a token set at once; returns its newly held tokens, which are
+        appended in ascending order."""
+        new = mask & ~self.holdings[node]
+        if not new:
+            return []
+        if new.bit_length() > self.universe.size:
+            raise ValueError(f"token {new.bit_length() - 1} outside universe {self.universe}")
+        tokens = mask_tokens(new)
+        self.holdings[node] |= new
+        self.holdings_seq[node].extend(tokens)
+        self.arrivals[node].update(dict.fromkeys(tokens, rnd))
+        self._real_counts[node] += (new & ((1 << self.universe.real_count) - 1)).bit_count()
+        return tokens
 
     def holds(self, node: int, token: int) -> bool:
         return token in self.arrivals[node]
@@ -488,7 +520,6 @@ class EngineRun:
         self.seed = seed
         self.max_rounds = max_rounds
         self.validate = validate
-        self._insertions = schedule.insertions_by_round()
         self.per_round_new_arrivals: list[int] = []
         self.per_node_completion: dict[int, int] = {}
         self._complete_nodes = 0
@@ -497,9 +528,9 @@ class EngineRun:
                 self.per_node_completion[v] = 0
                 self._complete_nodes += 1
         # Round-0 insertions land before the first round with arrival time 0.
-        for ev in self._insertions.get(0, ()):
-            if state._add(ev.node, ev.token, 0):
-                self._note_arrival(ev.node, 0)
+        for node, mask in schedule.insertions_at(0):
+            if state.add_mask(node, mask, 0):
+                self._note_arrival(node, 0)
 
     def _note_arrival(self, node: int, t: int) -> None:
         if node not in self.per_node_completion and self.state.node_complete(node):
@@ -536,7 +567,8 @@ class EngineRun:
 
         Raises PlanError (before anything changes) if the plan is invalid.
         New arrivals are recorded at the executed round index; nothing is
-        ever removed.  Returns the new (token, node) arrivals.
+        ever removed.  Returns the new (token, node) arrivals: the sends' in
+        plan order, then the insertions' by ascending node and token.
         """
         t = self.next_round
         if t > self.max_rounds:
@@ -552,9 +584,8 @@ class EngineRun:
         for u, v, tok in plan:
             if state._add(v, tok, t):
                 new_arrivals.append((tok, v))
-        for ev in self._insertions.get(t, ()):
-            if state._add(ev.node, ev.token, t):
-                new_arrivals.append((ev.token, ev.node))
+        for node, mask in self.schedule.insertions_at(t):
+            new_arrivals.extend((tok, node) for tok in state.add_mask(node, mask, t))
         state.current_round = t
         for _, node in new_arrivals:
             self._note_arrival(node, t)

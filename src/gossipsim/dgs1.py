@@ -10,6 +10,9 @@ Layout::
     I <node> <token>         # ascending (node, token)
     ...
 
+`I` lines are the expanded view of a round's insertion masks: one line per
+token of each (node, mask) pair.
+
 Round blocks run 1..horizon; the optional round-0 block carries insertions
 that apply before the first round.  The writer emits canonical ordering and
 the reader enforces it, so export -> import -> export is byte-identical.
@@ -22,7 +25,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .core import AdversarySchedule, InsertionEvent, NetworkSnapshot, validate_snapshot
+from .core import AdversarySchedule, NetworkSnapshot, mask_tokens, validate_snapshot
 
 
 class Dgs1Error(ValueError):
@@ -35,18 +38,13 @@ def schedule_to_text(schedule: AdversarySchedule) -> str:
     problems = schedule.validate()
     if problems:
         raise Dgs1Error(f"refusing to export invalid schedule: {problems[0]}")
-    by_round = schedule.insertions_by_round()
     out = [f"DGS1 {schedule.n} {schedule.horizon} {schedule.mode}"]
-    if by_round.get(0):
-        out.append("R 0")
-        for ev in sorted(by_round[0], key=lambda e: (e.node, e.token)):
-            out.append(f"I {ev.node} {ev.token}")
-    for t in range(1, schedule.horizon + 1):
+    for t in range(0 if schedule.insertions_at(0) else 1, schedule.horizon + 1):
         out.append(f"R {t}")
-        for u, v in sorted(schedule.snapshots[t - 1].edges):
-            out.append(f"E {u} {v}")
-        for ev in sorted(by_round.get(t, ()), key=lambda e: (e.node, e.token)):
-            out.append(f"I {ev.node} {ev.token}")
+        if t:
+            out.extend(f"E {u} {v}" for u, v in sorted(schedule.snapshots[t - 1].edges))
+        for node, mask in schedule.insertions_at(t):
+            out.extend(f"I {node} {tok}" for tok in mask_tokens(mask))
     return "\n".join(out) + "\n"
 
 
@@ -74,11 +72,10 @@ def schedule_from_text(text: str) -> AdversarySchedule:
         raise Dgs1Error(f"unknown mode {mode!r}", 1)
 
     snapshots: list[NetworkSnapshot] = []
-    insertions: list[InsertionEvent] = []
+    insertions: dict[int, list[tuple[int, int]]] = {}
     current_round: int | None = None
     edges: list[tuple[int, int]] = []
-    round_inserts: list[tuple[int, int]] = []
-    expected_next = 0
+    round_inserts: list[tuple[int, int]] = []  # (node, mask), ascending nodes
 
     def close_round(line_no: int) -> None:
         nonlocal edges, round_inserts
@@ -97,8 +94,8 @@ def schedule_from_text(text: str) -> AdversarySchedule:
             snapshots.append(snap)
         elif edges:
             raise Dgs1Error("round 0 may not contain edges", line_no)
-        for node, token in round_inserts:
-            insertions.append(InsertionEvent(current_round, node, token))
+        if round_inserts:
+            insertions[current_round] = round_inserts
         edges = []
         round_inserts = []
 
@@ -135,9 +132,13 @@ def schedule_from_text(text: str) -> AdversarySchedule:
             if current_round is None or len(parts) != 3:
                 raise Dgs1Error("insertion line outside round block or malformed", line_no)
             node, token = int(parts[1]), int(parts[2])
-            if round_inserts and (node, token) <= round_inserts[-1]:
-                raise Dgs1Error(f"insertion ({node}, {token}) out of order", line_no)
-            round_inserts.append((node, token))
+            prev, mask = round_inserts[-1] if round_inserts else (-1, 0)
+            if (node, token) <= (prev, mask.bit_length() - 1) or min(node, token) < 0:
+                raise Dgs1Error(f"insertion ({node}, {token}) negative or out of order", line_no)
+            if node == prev:
+                round_inserts[-1] = (node, mask | 1 << token)
+            else:
+                round_inserts.append((node, 1 << token))
         else:
             raise Dgs1Error(f"unknown record {kind!r}", line_no)
     close_round(len(lines))
@@ -150,7 +151,7 @@ def schedule_from_text(text: str) -> AdversarySchedule:
         n=n,
         horizon=horizon,
         snapshots=snapshots,
-        insertions=insertions,
+        insertion_masks=insertions,
         mode=mode,
     )
 

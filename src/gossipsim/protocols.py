@@ -26,39 +26,6 @@ from typing import Callable, Mapping
 from .core import NetworkSnapshot, Send, TokenState, draw_token
 
 
-@dataclass(frozen=True)
-class LocalView:
-    """What one node may legally observe in one round."""
-
-    node: int
-    round: int
-    own_tokens: frozenset[int]
-    neighbor_tokens: Mapping[int, frozenset[int]] | None = None
-    arrivals: Mapping[int, int] | None = None
-
-
-def build_local_view(
-    state: TokenState,
-    snapshot: NetworkSnapshot,
-    node: int,
-    with_neighbors: bool = True,
-    with_arrivals: bool = False,
-) -> LocalView:
-    neighbor_tokens = None
-    if with_neighbors:
-        neighbor_tokens = {
-            u: state.tokens(u) for u in snapshot.adjacency[node]
-        }
-    arrivals = dict(state.arrivals[node]) if with_arrivals else None
-    return LocalView(
-        node=node,
-        round=state.current_round + 1,
-        own_tokens=state.tokens(node),
-        neighbor_tokens=neighbor_tokens,
-        arrivals=arrivals,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Difference-based protocols
 
@@ -123,23 +90,23 @@ class SkbPolicy:
     ) -> dict[int, float]:
         raise NotImplementedError
 
-    def sample(
-        self,
-        rng: random.Random,
-        round_index: int,
-        node: int,
-        arrivals: Mapping[int, int],
-        held_in_order: list[int],
-    ) -> int | None:
-        """Draw one token (or None for idle).  One rng draw per node."""
-        masses = self.masses(round_index, node, arrivals)
-        x = rng.random()
-        acc = 0.0
-        for tok in sorted(masses):
-            acc += masses[tok]
-            if x < acc:
-                return tok
-        return None
+    def sample_round(
+        self, rng: random.Random, round_index: int, arrivals: list, holdings_seq: list
+    ) -> list[tuple[int, int]]:
+        """The round's (node, token) sends: one rng draw for each node
+        holding a token, in ascending node order; a draw past the masses
+        leaves the node idle."""
+        picks = []
+        for node, seq in enumerate(holdings_seq):
+            if seq:
+                masses = self.masses(round_index, node, arrivals[node])
+                x, acc = rng.random(), 0.0
+                for tok in sorted(masses):
+                    acc += masses[tok]
+                    if x < acc:
+                        picks.append((node, tok))
+                        break
+        return picks
 
 
 class UniformSkbPolicy(SkbPolicy):
@@ -153,11 +120,21 @@ class UniformSkbPolicy(SkbPolicy):
         w = 1.0 / len(arrivals)
         return {tok: w for tok in arrivals}
 
-    def sample(self, rng, round_index, node, arrivals, held_in_order):
-        if not held_in_order:
-            return None
-        # _randbelow(m) is randrange(m)'s draw for m > 0, without its checks.
-        return held_in_order[rng._randbelow(len(held_in_order))]
+    def sample_round(self, rng, round_index, arrivals, holdings_seq):
+        # A uniform index into the arrival order: `rng._randbelow(m)`, which
+        # is randrange(m)'s draw, inlined with its getrandbits rejection loop
+        # so the stream stays the same.
+        getrandbits = rng.getrandbits
+        picks = []
+        for node, seq in enumerate(holdings_seq):
+            m = len(seq)
+            if m:
+                k = m.bit_length()
+                r = getrandbits(k)
+                while r >= m:
+                    r = getrandbits(k)
+                picks.append((node, seq[r]))
+        return picks
 
 
 def uniform_skb() -> SkbPolicy:
@@ -219,16 +196,10 @@ def skb_step(
     made in ascending node order.
     """
     plan: list[Send] = []
-    round_index = state.current_round + 1
     adjacency = snapshot.adjacency
     arrivals = state.arrivals
-    for node in range(state.n):
-        seq = state.holdings_seq[node]
-        if not seq:
-            continue
-        tok = policy.sample(rng, round_index, node, arrivals[node], seq)
-        if tok is None:
-            continue
+    picks = policy.sample_round(rng, state.current_round + 1, arrivals, state.holdings_seq)
+    for node, tok in picks:
         for nb in adjacency[node]:
             if tok not in arrivals[nb]:
                 plan.append((node, nb, tok))

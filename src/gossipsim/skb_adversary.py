@@ -19,12 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .core import (
-    AdversarySchedule,
-    InsertionEvent,
-    NetworkSnapshot,
-    canonical_edge,
-)
+from .core import AdversarySchedule, NetworkSnapshot, token_mask
 
 
 def icbrt(n: int) -> int:
@@ -104,7 +99,7 @@ def build_skb_adversary(params: SkbAdversaryParams) -> AdversarySchedule:
 
     def line_snapshot() -> NetworkSnapshot:
         order = left + [0] + middle + right
-        return NetworkSnapshot(n, {canonical_edge(a, b) for a, b in zip(order, order[1:])})
+        return NetworkSnapshot(n, zip(order, order[1:]))
 
     meta = {
         "generator": "skb-blocker",
@@ -131,13 +126,13 @@ def build_skb_adversary(params: SkbAdversaryParams) -> AdversarySchedule:
     }
 
     snapshots: list[NetworkSnapshot] = []
-    insertions: list[InsertionEvent] = []
+    insertions: dict[int, list[tuple[int, int]]] = {}
     round_index = 0
 
     for phase in range(1, params.phases + 1):
         middle = middle + right
         right = []
-        phase_sets = sets[phase - 1]
+        set_masks = [token_mask(s) for s in sets[phase - 1]]
         for segment in range(1, params.segments_per_phase + 1):
             if not middle:
                 break
@@ -148,13 +143,12 @@ def build_skb_adversary(params: SkbAdversaryParams) -> AdversarySchedule:
             for k in range(1, params.segment_rounds + 1):
                 snapshots.append(snap)
                 round_index += 1
-                for m_idx in range(1, min(k, len(watched)) + 1):
-                    set_idx = k - m_idx  # 0-based index of set B_{phase, k-m+1}
-                    if set_idx >= len(phase_sets):
-                        continue
-                    node = watched[m_idx - 1]
-                    for tok in phase_sets[set_idx]:
-                        insertions.append(InsertionEvent(round_index, node, tok))
+                # Node v_m receives set B_{phase, k-m+1} (0-based index k - m).
+                insertions[round_index] = sorted(
+                    (watched[m_idx - 1], set_masks[k - m_idx])
+                    for m_idx in range(1, min(k, len(watched)) + 1)
+                    if k - m_idx < len(set_masks)
+                )
             meta["segments"].append(
                 {
                     "phase": phase,
@@ -169,12 +163,11 @@ def build_skb_adversary(params: SkbAdversaryParams) -> AdversarySchedule:
             left = left + list(reversed(watched[:iw]))
             right = watched[iw:] + right
 
-    insertions.sort(key=lambda ev: (ev.round, ev.node, ev.token))
     return AdversarySchedule(
         n=n,
         horizon=round_index,
         snapshots=snapshots,
-        insertions=insertions,
+        insertion_masks=insertions,
         mode="invasive",
         metadata=meta,
         cyclic_extendable=True,

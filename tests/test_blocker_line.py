@@ -10,7 +10,7 @@ from gossipsim.blocker_line import (
     build_blocker_line_invasive,
     build_blocker_line_oblivious,
 )
-from gossipsim.core import validate_snapshot
+from gossipsim.core import token_mask, validate_snapshot
 from gossipsim.dgs1 import schedule_to_text
 
 
@@ -110,29 +110,28 @@ class TestInvasive:
         schedule = build_blocker_line_invasive(params)
         meta = schedule.metadata
         groups = meta["blocker_groups"]
-        by_round = schedule.insertions_by_round()
         for seg in meta["segments"]:
             phase = seg["phase"]
             start = seg["rounds"][0]
-            pre = by_round.get(start - 1, [])
-            scatter = [ev for ev in pre if ev.node in set(seg["insert_nodes"])]
+            pre = schedule.insertions_at(start - 1)
+            scatter = [(node, mask) for node, mask in pre if node in set(seg["insert_nodes"])]
             assert scatter, "pre-segment insertions missing"
-            group = set(groups[phase - 1])
-            assert all(ev.token in group for ev in scatter)
+            group = token_mask(groups[phase - 1])
+            assert all(mask and not mask & ~group for _, mask in scatter)
 
     def test_scatter_probability_half(self):
         params = BlockerLineParams(400, seed=5)
         schedule = build_blocker_line_invasive(params)
         seg = schedule.metadata["segments"][0]
-        pre = [
-            ev
-            for ev in schedule.insertions_by_round().get(seg["rounds"][0] - 1, [])
-            if ev.node in set(seg["insert_nodes"])
-        ]
+        hits = sum(
+            mask.bit_count()
+            for node, mask in schedule.insertions_at(seg["rounds"][0] - 1)
+            if node in set(seg["insert_nodes"])
+        )
         m = params.sqrt_n
         trials = m * m  # token-node pairs
         # binomial(trials, 1/2) within 4 sigma
-        assert abs(len(pre) - trials / 2) <= 4 * math.sqrt(trials * 0.25)
+        assert abs(hits - trials / 2) <= 4 * math.sqrt(trials * 0.25)
 
     def test_post_phase_completes_group_on_right_line(self):
         params = BlockerLineParams(64, seed=6)
@@ -156,6 +155,7 @@ class TestOblivious:
     def test_no_insertions(self):
         schedule = build_blocker_line_oblivious(BlockerLineParams(64, seed=1))
         assert schedule.insertions == []
+        assert schedule.insertion_masks == {}
         assert schedule.mode == "oblivious"
 
     def test_horizon_matches_independent_count(self):
@@ -289,15 +289,16 @@ class TestMultiPhase:
         for seg in phase2:
             assert not (set(seg["interval"]) & retired)
         groups = meta["blocker_groups"]
-        by_round = schedule.insertions_by_round()
         group1, group2 = set(groups[0]), set(groups[1])
         for seg in phase2:
             # the phase-1 completion insertions share the boundary round, so
             # filter them out before checking the phase-2 scatter group
             pre = [
                 ev
-                for ev in by_round.get(seg["rounds"][0] - 1, [])
-                if ev.node in set(seg["insert_nodes"]) and ev.token not in group1
+                for ev in schedule.insertions
+                if ev.round == seg["rounds"][0] - 1
+                and ev.node in set(seg["insert_nodes"])
+                and ev.token not in group1
             ]
             assert pre and all(ev.token in group2 for ev in pre)
         r1, r2 = (set(r) for r in meta["right_line_per_phase"])

@@ -258,6 +258,18 @@ class TestKGossip:
             assert result.rounds_executed == result.completion_round
             assert sum(log.rounds for log in outcome.stage_logs) == result.rounds_executed
 
+    @pytest.mark.parametrize("n, k, completion", [(32, 16, 915), (64, 32, 2902)])
+    def test_staged_broadcast_stops_at_completion(self, n, k, completion):
+        """k < n pads the group with dummies; the broadcast stage ends once
+        every real token is everywhere, not once the dummies are too."""
+        schedule, _, _ = build_ring_failure(n, "round-robin", seed=1, horizon=4 * n)
+        universe = kgossip_universe(k, n)
+        run = fresh_run(schedule, {0: range(universe.size)}, universe, 1, 20000)
+        outcome = k_gossip_centralized(run, k, CentralParams(mode="staged"))
+        assert outcome.stalled is None
+        assert outcome.result.completion_round == completion
+        assert outcome.result.rounds_executed == completion
+
     def test_scattered_initial_tokens(self):
         n, k = 12, 12
         universe = kgossip_universe(k, n)

@@ -1,5 +1,7 @@
 """Engine semantics: snapshot validation, round application, determinism."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +23,10 @@ from gossipsim.core import (
     token_mask,
     validate_snapshot,
 )
+from gossipsim.blocker_line import BlockerLineParams, build_blocker_line_invasive
+from gossipsim.dgs1 import schedule_to_text
 from gossipsim.protocols import RandDiff
+from gossipsim.skb_adversary import SkbAdversaryParams, build_skb_adversary
 
 from reference_sim import reference_rand_diff_completion
 
@@ -64,11 +69,23 @@ class TestValidateSnapshot:
         assert validate_snapshot(NetworkSnapshot(1, [])).ok
 
 
+def masks_of(events):
+    """Insertion masks of (round, node, token) events, duplicates merged."""
+    masks = {}
+    for t, node, tok in sorted(set(events)):
+        pairs = masks.setdefault(t, [])
+        if pairs and pairs[-1][0] == node:
+            pairs[-1] = (node, pairs[-1][1] | 1 << tok)
+        else:
+            pairs.append((node, 1 << tok))
+    return masks
+
+
 def one_round(state, edges, insertions=()):
     """An engine run over one round of the graph `edges`."""
     snap = NetworkSnapshot(state.n, edges)
     mode = "invasive" if insertions else "oblivious"
-    schedule = AdversarySchedule(state.n, 1, [snap], list(insertions), mode)
+    schedule = AdversarySchedule(state.n, 1, [snap], masks_of(insertions), mode)
     return EngineRun(schedule, state, seed=0, max_rounds=1)
 
 
@@ -191,7 +208,7 @@ class TestRunSimulation:
     def test_round_zero_insertions_apply_at_setup(self):
         snap = NetworkSnapshot(2, [(0, 1)])
         schedule = AdversarySchedule(
-            2, 1, [snap], [InsertionEvent(0, 1, 0)], mode="invasive"
+            2, 1, [snap], masks_of([InsertionEvent(0, 1, 0)]), mode="invasive"
         )
         state = TokenState(2, TokenUniverse(2, 2), {0: [0, 1]})
         run = EngineRun(schedule, state, seed=0, max_rounds=1)
@@ -208,7 +225,7 @@ class TestRunSimulation:
 class TestScheduleValidate:
     def test_oblivious_with_insertions_flagged(self):
         snap = NetworkSnapshot(2, [(0, 1)])
-        schedule = AdversarySchedule(2, 1, [snap], [InsertionEvent(1, 0, 0)])
+        schedule = AdversarySchedule(2, 1, [snap], masks_of([InsertionEvent(1, 0, 0)]))
         assert any("insertion" in p for p in schedule.validate())
 
     def test_disconnected_round_flagged(self):
@@ -324,3 +341,102 @@ def test_bitsets_agree_with_arrivals(graph, seed):
     for v in range(n):
         assert final.holdings[v] == token_mask(final.arrivals[v])
         assert final.holdings_seq[v] == list(final.arrivals[v])
+
+
+# Insertion masks against a per-token oracle
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_insertion_masks_apply_like_per_token_events(data):
+    """A schedule built from (round, node, token) events, applied through its
+    masks, gives the per-token oracle's state, arrivals and completions.
+    The oracle applies each round's sends in plan order, then the round's
+    distinct events in ascending (node, token) order."""
+    n = data.draw(st.integers(2, 5), "n")
+    size = data.draw(st.integers(1, 8), "size")
+    real = data.draw(st.integers(1, size), "real")
+    rounds = data.draw(st.integers(1, 4), "rounds")
+    tok = st.integers(0, size - 1)
+    initial = data.draw(st.dictionaries(st.integers(0, n - 1), st.sets(tok)), "initial")
+    events = data.draw(
+        st.lists(st.tuples(st.integers(0, rounds), st.integers(0, n - 1), tok)), "events"
+    )
+    events += data.draw(st.lists(st.sampled_from(events or [(0, 0, 0)]), max_size=3), "dups")
+
+    arrivals = [{} for _ in range(n)]
+    seq = [[] for _ in range(n)]
+    completion = {}
+
+    def land(node, token, t, new):
+        if token not in arrivals[node]:
+            arrivals[node][token] = t
+            seq[node].append(token)
+            new.append((token, node))
+            if node not in completion and all(x in arrivals[node] for x in range(real)):
+                completion[node] = t
+
+    setup = []
+    for node in range(n):
+        for token in sorted(initial.get(node, ())):
+            land(node, token, 0, setup)
+    for _, node, token in sorted({ev for ev in events if ev[0] == 0}):
+        land(node, token, 0, setup)
+    edges = [(u, v) for u in range(n) for v in range(n) if u != v]
+    plans, expected = [], []
+    for t in range(1, rounds + 1):
+        plan = []
+        for u, v in data.draw(st.lists(st.sampled_from(edges), unique=True, max_size=4)):
+            if seq[u]:
+                plan.append((u, v, data.draw(st.sampled_from(seq[u]))))
+        # a token that also arrives by a send in the same round
+        for u, v, token in plan[: data.draw(st.integers(0, 2))]:
+            events.append((t, v, token))
+        new = []
+        for u, v, token in plan:
+            land(v, token, t, new)
+        for _, node, token in sorted({ev for ev in events if ev[0] == t}):
+            land(node, token, t, new)
+        plans.append(plan)
+        expected.append(new)
+
+    snap = NetworkSnapshot(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    schedule = AdversarySchedule(n, rounds, [snap] * rounds, masks_of(events), "invasive")
+    assert len(schedule.insertions) == len(set(events))
+    assert list(schedule.insertions) == sorted(set(events))
+    state = TokenState(n, TokenUniverse(size, real), initial)
+    run = EngineRun(schedule, state, seed=0, max_rounds=rounds)
+    got = [run.execute(plan) for plan in plans]
+    assert got == expected
+    assert state.holdings_seq == seq
+    assert state.arrivals == arrivals
+    assert run.per_node_completion == completion
+    assert state.holdings == [token_mask(a) for a in arrivals]
+
+
+# DGS1 exports pinned byte for byte, as the per-token event lists wrote them.
+# blocker-144 has one phase; blocker-2304 has two, so its phase-1 right-line
+# completion shares a round with the phase-2 scatter.
+
+
+@pytest.mark.parametrize(
+    "build, digest",
+    [
+        (
+            lambda: build_blocker_line_invasive(BlockerLineParams(144, 1)),
+            "a7c0713f6cf20fd0e34fb4c0b4a0ce72e747a0bd02560a6a2664e024f919dd28",
+        ),
+        (
+            lambda: build_blocker_line_invasive(BlockerLineParams(2304, 3)),
+            "1fd30607d8358c9977c68b0a1d4e77990b4d733baeb20e1eb50c5ceaf88497d3",
+        ),
+        (
+            lambda: build_skb_adversary(SkbAdversaryParams(64, 1)),
+            "fa320b5ff98dc6db2232bfeacd316d7134433a0e6b40eb0ee25ab57e9ff7be2e",
+        ),
+    ],
+    ids=["blocker-144", "blocker-2304", "skb-64"],
+)
+def test_dgs1_export_pinned(build, digest):
+    text = schedule_to_text(build())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -31,13 +31,24 @@ class TestFormat:
 
     def test_round_zero_insertions(self):
         snap = NetworkSnapshot(2, [(0, 1)])
-        schedule = AdversarySchedule(
-            2, 1, [snap], [InsertionEvent(0, 1, 3)], mode="invasive"
-        )
+        schedule = AdversarySchedule(2, 1, [snap], {0: [(1, 1 << 3)]}, mode="invasive")
         text = schedule_to_text(schedule)
         assert "R 0\nI 1 3\nR 1\n" in text
         back = schedule_from_text(text)
         assert back.insertions == [InsertionEvent(0, 1, 3)]
+        assert back.insertion_masks == {0: [(1, 1 << 3)]}
+
+    def test_node_lines_merge_into_one_mask(self):
+        text = "DGS1 3 1 invasive\nR 1\nE 0 1\nE 1 2\nI 0 4\nI 2 0\nI 2 1\nI 2 9\n"
+        schedule = schedule_from_text(text)
+        assert schedule.insertions_at(1) == [(0, 1 << 4), (2, 1 << 0 | 1 << 1 | 1 << 9)]
+        assert len(schedule.insertions) == 4
+        assert schedule_to_text(schedule) == text
+
+    @pytest.mark.parametrize("lines", ["I 2 1\nI 2 0\n", "I 2 1\nI 2 1\n", "I 2 1\nI 1 5\n"])
+    def test_unsorted_insertions_rejected(self, lines):
+        with pytest.raises(Dgs1Error):
+            schedule_from_text("DGS1 3 1 invasive\nR 1\nE 0 1\nE 1 2\n" + lines)
 
     def test_disconnected_round_rejected_with_round_number(self):
         text = "DGS1 3 1 oblivious\nR 1\nE 0 1\n"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gossipsim.core import (
     AdversarySchedule,
+    EngineRun,
     NetworkSnapshot,
     TokenState,
     TokenUniverse,
@@ -17,6 +18,7 @@ from gossipsim.core import (
 from gossipsim.protocols import (
     Flood,
     RandDiff,
+    SkbPolicy,
     check_skb_policy,
     flood_step,
     get_protocol,
@@ -162,6 +164,43 @@ class TestSkb:
         assert sorted(plan) == [(0, v, 0) for v in range(1, n)]
 
 
+    def test_uniform_round_draw_is_randbelow(self):
+        # One node per list length m = 1..5000; each pick must be the
+        # stream's `_randbelow(m)`, and the streams must end in step.
+        lengths = range(1, 5001)
+        for key in range(4):
+            rng, ref = derive_rng("skb-draw", key), derive_rng("skb-draw", key)
+            picks = uniform_skb().sample_round(rng, 1, None, [range(m) for m in lengths])
+            assert picks == [(i, ref._randbelow(m)) for i, m in enumerate(lengths)]
+            assert rng.random() == ref.random()
+
+    def test_uniform_round_draw_skips_empty_nodes(self):
+        rng, ref = derive_rng("skb-empty"), derive_rng("skb-empty")
+        picks = uniform_skb().sample_round(rng, 1, None, [[], [7, 3], [], [5]])
+        assert picks == [(1, [7, 3][ref._randbelow(2)]), (3, 5)]
+        ref._randbelow(1)  # a single held token still costs a draw
+        assert rng.random() == ref.random()
+
+    def test_masses_policy_draws_one_random_per_holding_node(self):
+        class Newest(SkbPolicy):
+            """All mass on the newest arrival, none on round-0 tokens."""
+
+            def masses(self, round_index, node, arrivals):
+                newest = max(arrivals.values())
+                return {tok: 1.0 for tok, t in arrivals.items() if t == newest and t > 0}
+
+        n = 3
+        snap = NetworkSnapshot(n, [(0, 1), (1, 2)])
+        state = TokenState(n, TokenUniverse(3, 3), {0: [0], 1: [1]})
+        run = EngineRun(AdversarySchedule(n, 1, [snap]), state, seed=0, max_rounds=1)
+        run.execute([(0, 1, 0)])
+        rng, ref = derive_rng("masses"), derive_rng("masses")
+        picks = Newest().sample_round(rng, 2, state.arrivals, state.holdings_seq)
+        assert picks == [(1, 0)]  # node 0 holds only a round-0 token: idle
+        ref.random(), ref.random()
+        assert rng.random() == ref.random()
+
+
 class TestCheckSkbPolicy:
     def test_uniform_passes(self):
         state = two_node_state([0, 1], [1])
@@ -274,9 +313,8 @@ class TestInformationDiscipline:
 
     def test_plan_recomputable_from_local_views(self):
         # the difference rule uses only view-visible data: recomputing the
-        # plan from per-node views (same rng) reproduces the step exactly
-        from gossipsim.protocols import build_local_view
-
+        # plan from per-node views (same rng) reproduces the step exactly.
+        # A node's view is its own token set and its neighbours' sets.
         n = 6
         snap = NetworkSnapshot(n, [(i, i + 1) for i in range(n - 1)] + [(0, 3), (2, 5)])
         rng_state = derive_rng("views")
@@ -286,22 +324,16 @@ class TestInformationDiscipline:
         state = TokenState(n, TokenUniverse(n, n), holdings)
         plan = rand_diff_step(state, snap, derive_rng("draws", 1))
 
-        views = {v: build_local_view(state, snap, v) for v in range(n)}
+        views = {
+            v: (state.tokens(v), {u: state.tokens(u) for u in snap.adjacency[v]})
+            for v in range(n)
+        }
         rng = derive_rng("draws", 1)
         replan = []
         for u, v in snap.directed_edges:
-            diff = set(views[u].own_tokens) - set(views[u].neighbor_tokens[v])
+            own, neighbor_tokens = views[u]
+            diff = set(own) - set(neighbor_tokens[v])
             if diff:
                 tok = diff.pop() if len(diff) == 1 else rng.choice(sorted(diff))
                 replan.append((u, v, tok))
         assert replan == plan
-
-    def test_local_view_fields(self):
-        from gossipsim.protocols import build_local_view
-
-        snap = NetworkSnapshot(3, [(0, 1), (1, 2)])
-        state = TokenState(3, TokenUniverse(3, 3), {0: [0], 1: [1, 2]})
-        view = build_local_view(state, snap, 1, with_arrivals=True)
-        assert view.own_tokens == frozenset({1, 2})
-        assert set(view.neighbor_tokens) == {0, 2}
-        assert view.arrivals == {1: 0, 2: 0}
