@@ -258,9 +258,12 @@ class AdversarySchedule:
             if not check:
                 problems.append(f"round {t}: {check.reason} (witness {check.witness})")
                 break
-        for t in self.insertion_masks:
+        for t, pairs in self.insertion_masks.items():
             if not (0 <= t <= self.horizon):
                 problems.append(f"insertion round {t} outside [0, {self.horizon}]")
+                break
+            if any(a[0] >= b[0] for a, b in zip(pairs, pairs[1:])):
+                problems.append(f"round {t}: insertion nodes not strictly ascending")
                 break
         return problems
 

@@ -228,6 +228,14 @@ class TestScheduleValidate:
         schedule = AdversarySchedule(2, 1, [snap], masks_of([InsertionEvent(1, 0, 0)]))
         assert any("insertion" in p for p in schedule.validate())
 
+    def test_unsorted_insertion_nodes_flagged(self):
+        snap = NetworkSnapshot(3, [(0, 1), (1, 2)])
+        for pairs in ([(2, 1), (0, 1)], [(1, 1), (1, 2)]):
+            schedule = AdversarySchedule(3, 1, [snap], {1: pairs}, mode="invasive")
+            assert any("ascending" in p for p in schedule.validate())
+        ok = AdversarySchedule(3, 1, [snap], {1: [(0, 1), (2, 1)]}, mode="invasive")
+        assert ok.validate() == []
+
     def test_disconnected_round_flagged(self):
         schedule = AdversarySchedule(3, 1, [NetworkSnapshot(3, [(0, 1)])])
         assert any("disconnected" in p for p in schedule.validate())
