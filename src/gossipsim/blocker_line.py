@@ -39,12 +39,14 @@ in the schedule metadata.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 from .core import (
     AdversarySchedule,
-    NetworkSnapshot,
+    RoundSource,
     derive_rng,
+    node_array,
     token_mask,
 )
 
@@ -141,7 +143,7 @@ class _Segment:
     phase: int
     index: int  # 1-based within the phase
     interval: list[int]
-    line: list[int]  # line order while the interval fronts node 0
+    line: array  # line order while the interval fronts node 0
 
 
 def _trajectory(params: BlockerLineParams) -> tuple[list[_Segment], list[list[int]]]:
@@ -154,14 +156,10 @@ def _trajectory(params: BlockerLineParams) -> tuple[list[_Segment], list[list[in
         right = layout.right
         intervals = [right[j * width : (j + 1) * width] for j in range(params.segments_per_phase)]
         for j, interval in enumerate(intervals, start=1):
-            segments.append(_Segment(phase, j, interval, layout.order()))
+            segments.append(_Segment(phase, j, interval, node_array(params.n, layout.order())))
             layout.shift(interval, params.inner_width)
         right_lines.append(list(layout.right))
     return segments, right_lines
-
-
-def _line_snapshot(n: int, order: list[int]) -> NetworkSnapshot:
-    return NetworkSnapshot(n, zip(order, order[1:]))
 
 
 def _base_metadata(
@@ -226,7 +224,6 @@ def build_blocker_line_invasive(params: BlockerLineParams) -> AdversarySchedule:
     rng = derive_rng(params.seed, "blocker-line", "insertions")
     groups = blocker_partition(params)
     segments, right_lines = _trajectory(params)
-    snapshots: list[NetworkSnapshot] = []
     by_round: dict[int, dict[int, int]] = {}
     round_index = 0
 
@@ -244,7 +241,6 @@ def build_blocker_line_invasive(params: BlockerLineParams) -> AdversarySchedule:
         for node, mask in zip(scatter_nodes, masks):
             if mask:
                 at[node] = at.get(node, 0) | mask << group[0]
-        snapshots.extend([_line_snapshot(params.n, seg.line)] * params.segment_rounds)
         round_index += params.segment_rounds
         if seg.index == params.segments_per_phase:
             by_round[round_index] = dict.fromkeys(right_lines[seg.phase - 1], token_mask(group))
@@ -252,7 +248,7 @@ def build_blocker_line_invasive(params: BlockerLineParams) -> AdversarySchedule:
     return AdversarySchedule(
         n=params.n,
         horizon=round_index,
-        snapshots=snapshots,
+        rounds=RoundSource.lines(params.n, [seg.line for seg in segments], params.segment_rounds),
         insertion_masks={t: sorted(at.items()) for t, at in by_round.items() if at},
         mode="invasive",
         metadata=_base_metadata(params, "invasive", segments, right_lines),
@@ -290,7 +286,7 @@ def build_blocker_line_oblivious(params: BlockerLineParams) -> AdversarySchedule
         for node in nodes:
             start.setdefault(node, set()).update(groups[seg.phase - 1])
 
-    snapshots: list[NetworkSnapshot] = []
+    lines = []
     for k, seg in enumerate(segments):
         fronting = set(seg.interval)
         parked = list(
@@ -299,15 +295,14 @@ def build_blocker_line_oblivious(params: BlockerLineParams) -> AdversarySchedule
             )
         )
         parked_set = set(parked)
-        line = [v for v in seg.line if v not in parked_set] + parked
-        snapshots.extend([_line_snapshot(params.n, line)] * params.segment_rounds)
+        lines.append(node_array(params.n, [v for v in seg.line if v not in parked_set] + parked))
 
     meta = _base_metadata(params, "oblivious", segments, right_lines)
     meta["start_holdings"] = [[node, sorted(start[node])] for node in sorted(start)]
     return AdversarySchedule(
         n=params.n,
-        horizon=len(snapshots),
-        snapshots=snapshots,
+        horizon=len(segments) * params.segment_rounds,
+        rounds=RoundSource.lines(params.n, lines, params.segment_rounds),
         mode="oblivious",
         metadata=meta,
         cyclic_extendable=True,

@@ -137,7 +137,7 @@ def load_balance(
         raise ValueError("full set and target set must cover all nodes")
     needed = token_mask(pool.underlying_tokens())
     for f in F:
-        missing = needed & ~state.holdings[f]
+        missing = needed ^ (needed & state.holdings[f])
         if missing:
             raise ValueError(f"full node {f} is missing pool tokens {mask_tokens(missing)}")
 
@@ -284,7 +284,7 @@ def n_broadcast(
     n = state.n
     holdings = state.holdings
     token_set = token_mask(tokens) if tokens is not None else holdings[source]
-    if token_set & ~holdings[source]:
+    if token_set ^ (token_set & holdings[source]):
         raise ValueError("source does not hold the full broadcast set")
     if not token_set:
         return BroadcastOutcome(True, None, [])
@@ -297,7 +297,7 @@ def n_broadcast(
     def non_full() -> list[int]:
         if run.complete():
             return []
-        return [v for v in range(n) if token_set & ~holdings[v]]
+        return [v for v in range(n) if token_set ^ (token_set & holdings[v])]
 
     lb_counter = 0
     try:
@@ -443,7 +443,7 @@ def k_gossip_centralized(
                 if not gain:
                     return GossipOutcome(run.result(), logs, f"{tag}-cover-unhit", strategy)
                 allocation[best] = mask_tokens(gain)
-                uncovered &= ~gain
+                uncovered ^= uncovered & gain
                 if len(allocation) > cover_cap:
                     return GossipOutcome(run.result(), logs, f"{tag}-cover-cap", strategy)
 

@@ -4,8 +4,9 @@ The model: a fixed vertex set, one communication graph per round (always
 connected), and token-forwarding semantics -- nodes store, copy, and forward
 tokens, never combine or drop them.  One token may cross each *directed* edge
 per round.  A schedule (graph sequence plus optional pre-committed token
-insertions) is fully materialized before any protocol randomness is drawn, so
-the adversary is oblivious to protocol coins.
+insertions) is fixed before any protocol randomness is drawn, so the
+adversary is oblivious to protocol coins; its graphs are built round by round
+from the generator's compact per-round data.
 
 Round structure:
   1. the protocol observes the state and the current snapshot,
@@ -21,8 +22,11 @@ from __future__ import annotations
 
 import hashlib
 import random
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, NamedTuple, Protocol, Sequence
+from itertools import chain, repeat
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Protocol, Sequence
 
 NodeId = int
 TokenId = int
@@ -124,6 +128,31 @@ class NetworkSnapshot:
     def has_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u <= v else (v, u)) in self.edges
 
+    def without(self, removed: Iterable[Edge]) -> "NetworkSnapshot":
+        """This graph minus some of its canonical edges.  The directed edges
+        are this graph's with the removed pairs cut out, so the variants of
+        one base graph cost no sort."""
+        removed = self.edges.intersection(removed)
+        snap = NetworkSnapshot(self.n, ())
+        snap.edges = self.edges - removed
+        directed = self.directed_edges
+        cuts = sorted(
+            bisect_left(directed, pair)
+            for u, v in removed
+            if u != v
+            for pair in ((u, v), (v, u))
+        )
+        starts = [0, *(i + 1 for i in cuts)]
+        snap._directed = list(
+            chain.from_iterable(directed[a:b] for a, b in zip(starts, [*cuts, len(directed)]))
+        )
+        return snap
+
+
+def node_array(n: int, values: Iterable[int] = ()) -> array:
+    """Compact array for node ids (or other values) below n."""
+    return array("B" if n <= 1 << 8 else "H" if n <= 1 << 16 else "I", values)
+
 
 @dataclass
 class SnapshotCheck:
@@ -204,34 +233,82 @@ class InsertionView:
                     yield InsertionEvent(t, node, tok)
 
 
+class RoundSource:
+    """A schedule's graphs, built on demand.
+
+    `key_of(t)` names the graph of round t (1 <= t <= horizon): the round
+    itself, a variant index or a segment.  `build(key)` makes that graph.
+    Only the latest key's snapshot is kept, so the rounds of one segment and
+    a cyclic tail reuse one object and its cached adjacency and directed
+    edges, while the generator keeps only its compact per-round data.
+    """
+
+    __slots__ = ("key_of", "build", "_key", "_snapshot")
+
+    def __init__(
+        self, key_of: Callable[[int], Hashable], build: Callable[[Hashable], NetworkSnapshot]
+    ):
+        self.key_of = key_of
+        self.build = build
+        self._key = self._snapshot = None
+
+    def __call__(self, t: int) -> NetworkSnapshot:
+        key = self.key_of(t)
+        if key != self._key:
+            self._snapshot = self.build(key)
+            self._key = key
+        return self._snapshot
+
+    @classmethod
+    def static(cls, snapshot: NetworkSnapshot) -> "RoundSource":
+        return cls(lambda t: 0, lambda key: snapshot)
+
+    @classmethod
+    def lines(cls, n: int, orders: Sequence[Sequence[int]], span: int) -> "RoundSource":
+        """Round t is the path graph along `orders[(t-1) // span]`."""
+        return cls(
+            lambda t: (t - 1) // span,
+            lambda k: NetworkSnapshot(n, zip(orders[k], orders[k][1:])),
+        )
+
+
 @dataclass
 class AdversarySchedule:
-    """A pre-committed sequence of snapshots plus optional insertions.
+    """A pre-committed sequence of graphs plus optional insertions.
 
-    `snapshots[t-1]` is the graph for round t (rounds are 1-indexed).  When
-    `cyclic_extendable` is set, rounds beyond the horizon repeat the final
-    snapshot (a static, still-connected tail).  `insertion_masks[t]` holds
-    round t's insertions as ascending (node, token mask) pairs: the tokens
-    appear at the node at the end of round t, and round 0's before the first
-    round (arrival time 0).  Only invasive-mode schedules may carry them.
+    `snapshot_at(t)` is the graph for round t (rounds are 1-indexed), from
+    the round source `rounds`; a sequence of one snapshot per round is
+    accepted in its place.  When `cyclic_extendable` is set, rounds beyond
+    the horizon repeat the final graph (a static, still-connected tail).
+    `insertion_masks[t]` holds round t's insertions as ascending (node, token
+    mask) pairs: the tokens appear at the node at the end of round t, and
+    round 0's before the first round (arrival time 0).  Only invasive-mode
+    schedules may carry them.
     """
 
     n: int
     horizon: int
-    snapshots: list[NetworkSnapshot]
+    rounds: RoundSource
     insertion_masks: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
     mode: str = "oblivious"  # "oblivious" | "invasive"
     metadata: dict = field(default_factory=dict)
     cyclic_extendable: bool = False
 
+    def __post_init__(self):
+        snapshots = self.rounds
+        if not isinstance(snapshots, RoundSource):  # parsed files, hand-built schedules
+            if len(snapshots) != self.horizon:
+                raise ScheduleError(f"snapshot count {len(snapshots)} != horizon {self.horizon}")
+            self.rounds = RoundSource(lambda t: t, lambda t: snapshots[t - 1])
+
     def snapshot_at(self, t: int) -> NetworkSnapshot:
         if t < 1:
             raise ScheduleError(f"round index {t} < 1")
-        if t <= self.horizon:
-            return self.snapshots[t - 1]
-        if self.cyclic_extendable:
-            return self.snapshots[-1]
-        raise ScheduleError(f"round {t} beyond horizon {self.horizon} (not extendable)")
+        if t > self.horizon:
+            if not self.cyclic_extendable:
+                raise ScheduleError(f"round {t} beyond horizon {self.horizon} (not extendable)")
+            t = self.horizon
+        return self.rounds(t)
 
     def insertions_at(self, t: int) -> list[tuple[int, int]]:
         return self.insertion_masks.get(t, [])
@@ -243,15 +320,16 @@ class AdversarySchedule:
     def validate(self) -> list[str]:
         """Structural checks; returns a list of problems (empty means valid)."""
         problems = []
-        if len(self.snapshots) != self.horizon:
-            problems.append(
-                f"snapshot count {len(self.snapshots)} != horizon {self.horizon}"
-            )
         if self.mode not in ("oblivious", "invasive"):
             problems.append(f"unknown mode {self.mode!r}")
         if self.mode == "oblivious" and any(self.insertion_masks.values()):
             problems.append("oblivious schedule carries insertion events")
-        for t, snap in enumerate(self.snapshots, start=1):
+        last = None
+        for t in range(1, self.horizon + 1):
+            snap = self.snapshot_at(t)
+            if snap is last:
+                continue
+            last = snap
             if snap.n != self.n:
                 problems.append(f"round {t}: snapshot n={snap.n} != schedule n={self.n}")
             check = validate_snapshot(snap)
@@ -264,6 +342,10 @@ class AdversarySchedule:
                 break
             if any(a[0] >= b[0] for a, b in zip(pairs, pairs[1:])):
                 problems.append(f"round {t}: insertion nodes not strictly ascending")
+                break
+            outside = [node for node, _ in pairs if not 0 <= node < self.n]
+            if outside:
+                problems.append(f"round {t}: insertion node {outside[0]} outside [0, {self.n})")
                 break
         return problems
 
@@ -400,7 +482,7 @@ class TokenState:
     def add_mask(self, node: int, mask: int, rnd: int) -> list[int]:
         """Add a token set at once; returns its newly held tokens, which are
         appended in ascending order."""
-        new = mask & ~self.holdings[node]
+        new = mask ^ (mask & self.holdings[node])
         if not new:
             return []
         if new.bit_length() > self.universe.size:
@@ -587,10 +669,15 @@ class EngineRun:
         for u, v, tok in plan:
             if state._add(v, tok, t):
                 new_arrivals.append((tok, v))
+        # Nodes to check for completion: one per send arrival, one per mask.
+        receivers = [v for _, v in new_arrivals]
         for node, mask in self.schedule.insertions_at(t):
-            new_arrivals.extend((tok, node) for tok in state.add_mask(node, mask, t))
+            tokens = state.add_mask(node, mask, t)
+            if tokens:
+                new_arrivals.extend(zip(tokens, repeat(node)))
+                receivers.append(node)
         state.current_round = t
-        for _, node in new_arrivals:
+        for node in receivers:
             self._note_arrival(node, t)
         self.per_round_new_arrivals.append(len(new_arrivals))
         return new_arrivals

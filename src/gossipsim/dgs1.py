@@ -42,7 +42,7 @@ def schedule_to_text(schedule: AdversarySchedule) -> str:
     for t in range(0 if schedule.insertions_at(0) else 1, schedule.horizon + 1):
         out.append(f"R {t}")
         if t:
-            out.extend(f"E {u} {v}" for u, v in sorted(schedule.snapshots[t - 1].edges))
+            out.extend(f"E {u} {v}" for u, v in sorted(schedule.snapshot_at(t).edges))
         for node, mask in schedule.insertions_at(t):
             out.extend(f"I {node} {tok}" for tok in mask_tokens(mask))
     return "\n".join(out) + "\n"
@@ -135,6 +135,8 @@ def schedule_from_text(text: str) -> AdversarySchedule:
             prev, mask = round_inserts[-1] if round_inserts else (-1, 0)
             if (node, token) <= (prev, mask.bit_length() - 1) or min(node, token) < 0:
                 raise Dgs1Error(f"insertion ({node}, {token}) negative or out of order", line_no)
+            if node >= n:
+                raise Dgs1Error(f"insertion node {node} outside [0, {n})", line_no)
             if node == prev:
                 round_inserts[-1] = (node, mask | 1 << token)
             else:
@@ -150,7 +152,7 @@ def schedule_from_text(text: str) -> AdversarySchedule:
     return AdversarySchedule(
         n=n,
         horizon=horizon,
-        snapshots=snapshots,
+        rounds=snapshots,
         insertion_masks=insertions,
         mode=mode,
     )

@@ -36,6 +36,7 @@ from .core import (
     AdversarySchedule,
     EngineRun,
     NetworkSnapshot,
+    RoundSource,
     SimulationResult,
     TokenState,
     TokenUniverse,
@@ -55,11 +56,10 @@ CSV_HEADER = ["n", "seed", "adversary", "protocol", "completion_round", "sentine
 
 
 def _static_schedule(n: int, edges, name: str, horizon: int) -> AdversarySchedule:
-    snap = NetworkSnapshot(n, edges)
     return AdversarySchedule(
         n=n,
         horizon=horizon,
-        snapshots=[snap] * horizon,
+        rounds=RoundSource.static(NetworkSnapshot(n, edges)),
         metadata={"generator": name, "params": {"n": n, "horizon": horizon}},
         cyclic_extendable=True,
     )
@@ -554,7 +554,8 @@ def measure_blocker_separation(
                     j += 1
                 taken[i], held[i] = j, mask
             for held_a, held_b in zip(held, held[1:]):
-                for diff in ((held_a & ~held_b).bit_count(), (held_b & ~held_a).bit_count()):
+                common = held_a & held_b
+                for diff in ((held_a ^ common).bit_count(), (held_b ^ common).bit_count()):
                     total += 1
                     if diff < threshold:
                         small += 1

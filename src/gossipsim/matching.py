@@ -87,7 +87,7 @@ def _exchange_instance(
     """`exchange_instance` for a token bitset `allowed` (-1 allows all)."""
     neighbors = snapshot.adjacency[node]
     holdings = state.holdings
-    lacking = ~holdings[node] & allowed
+    lacking = allowed ^ (allowed & holdings[node])
     missing = 0
     adjacency = []
     for u in neighbors:

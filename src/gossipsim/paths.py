@@ -22,8 +22,10 @@ from .core import (
     AdversarySchedule,
     Edge,
     NetworkSnapshot,
+    RoundSource,
     canonical_edge,
     derive_rng,
+    node_array,
 )
 
 
@@ -36,12 +38,7 @@ class PathSystem:
     paths: tuple[tuple[int, ...], ...]
 
     def edges(self) -> list[frozenset[Edge]]:
-        out = []
-        for path in self.paths:
-            out.append(
-                frozenset(canonical_edge(a, b) for a, b in zip(path, path[1:]))
-            )
-        return out
+        return [frozenset(canonical_edge(a, b) for a, b in zip(p, p[1:])) for p in self.paths]
 
     def validate(self, infrastructure: NetworkSnapshot) -> list[str]:
         problems = []
@@ -84,7 +81,12 @@ def validate_paths_respecting(
     rounds with the same inactive-edge set are checked once, at the first.
     """
     first_round: dict[frozenset[Edge], int] = {}
-    for t, snap in enumerate(schedule.snapshots, start=1):
+    last = None
+    for t in range(1, schedule.horizon + 1):
+        snap = schedule.snapshot_at(t)
+        if snap is last:
+            continue
+        last = snap
         extra = snap.edges - infrastructure.edges
         if extra:
             return PathsReport(
@@ -169,27 +171,23 @@ def build_ring_failure(
     if n < 3:
         raise ValueError("need n >= 3")
     infra = ring_infrastructure(n)
-    ring_edges = [canonical_edge(i, (i + 1) % n) for i in range(n)]
     rng = derive_rng(seed, "ring-failure", n, horizon)
-    # Only n distinct snapshots exist; build once and reuse per round.
-    variants = [
-        NetworkSnapshot(n, infra.edges - {edge}) for edge in ring_edges
-    ]
-    snapshots = []
-    for t in range(horizon):
-        if policy == "round-robin":
-            k = t % n
-        elif policy == "random":
-            k = rng.randrange(n)
-        elif policy == "fixed-edge":
-            k = 0
-        else:
-            raise ValueError(f"unknown policy {policy!r}")
-        snapshots.append(variants[k])
+    policies = {
+        "round-robin": lambda t: t % n,
+        "random": lambda t: rng.randrange(n),
+        "fixed-edge": lambda t: 0,
+    }
+    if policy not in policies:
+        raise ValueError(f"unknown policy {policy!r}")
+    # Round t removes ring edge (k, k+1 mod n) for its stored k.
+    removed = node_array(n, map(policies[policy], range(horizon)))
     schedule = AdversarySchedule(
         n=n,
         horizon=horizon,
-        snapshots=snapshots,
+        rounds=RoundSource(
+            lambda t: removed[t - 1],
+            lambda k: infra.without([canonical_edge(k, (k + 1) % n)]),
+        ),
         mode="oblivious",
         metadata={
             "generator": "ring-failure",
@@ -245,24 +243,17 @@ def build_center_terminal(
     fail_count = (r - 2) // 2
     rng = derive_rng(seed, "center-terminal", n, r, horizon)
     offset = rng.randrange(r)
-    variants: dict[tuple[int, ...], NetworkSnapshot] = {}
-    snapshots = []
-    for t in range(horizon):
-        disabled = tuple(sorted((offset + t + i) % r for i in range(fail_count)))
-        snap = variants.get(disabled)
-        if snap is None:
-            removed = {
-                canonical_edge(c, v)
-                for c in disabled
-                for v in range(r, n)
-            }
-            snap = NetworkSnapshot(n, infra.edges - removed)
-            variants[disabled] = snap
-        snapshots.append(snap)
+    # Round t disables centers first, first + 1, ... (mod r) for its stored first.
+    firsts = node_array(r, ((offset + t) % r for t in range(horizon)))
+
+    def build(first: int) -> NetworkSnapshot:
+        disabled = [(first + i) % r for i in range(fail_count)]
+        return infra.without([(c, v) for c in disabled for v in range(r, n)])
+
     schedule = AdversarySchedule(
         n=n,
         horizon=horizon,
-        snapshots=snapshots,
+        rounds=RoundSource(lambda t: firsts[t - 1], build),
         mode="oblivious",
         metadata={
             "generator": "center-terminal",

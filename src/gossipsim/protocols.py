@@ -42,7 +42,8 @@ def rand_diff_step(
     plan: list[Send] = []
     holdings = state.holdings
     for u, v in snapshot.directed_edges:
-        diff = holdings[u] & ~holdings[v]
+        held = holdings[u]
+        diff = held ^ (held & holdings[v])
         if diff:
             plan.append((u, v, draw_token(diff, rng)))
     return plan

@@ -11,14 +11,19 @@ extra edges by geometric skipping over the u < v pairs in row-major order
 (Batagelj & Brandes, Phys. Rev. E 71, 036113, 2005): O(n + p n^2) draws per
 round instead of one Bernoulli draw per pair.  At p = 1 every round is the
 complete graph and nothing is drawn.
+
+Every round is drawn when the schedule is built, so drawing costs nothing
+inside a run; the rounds are stored as endpoint arrays and a round's graph
+is built only when a run or a consumer asks for it.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from array import array
 
-from .core import AdversarySchedule, Edge, NetworkSnapshot, derive_rng
+from .core import AdversarySchedule, Edge, NetworkSnapshot, RoundSource, derive_rng, node_array
 
 
 def random_spanning_tree(n: int, rng: random.Random) -> list[Edge]:
@@ -53,15 +58,16 @@ def random_spanning_tree(n: int, rng: random.Random) -> list[Edge]:
     return [(v, p) if v < p else (p, v) for v, p in enumerate(parent) if p >= 0]
 
 
-def _extra_edges(n: int, log_q: float, rng: random.Random) -> list[Edge]:
-    """Each u < v pair independently with probability p; log_q = log(1 - p).
+def _extra_edges(n: int, log_q: float, rng: random.Random, us, vs) -> None:
+    """Append each u < v pair independently with probability p to the
+    endpoint arrays `us`, `vs`; log_q = log(1 - p).
 
     The gap to the next chosen pair in row-major order is geometric,
     int(log(1 - U) / log(1 - p)) + 1, so only chosen pairs cost a draw.
     """
     rand = rng.random
     log = math.log
-    edges = []
+    add_u, add_v = us.append, vs.append
     u, v = 0, 0  # (0, 0) sits just before the first pair (0, 1)
     last_row = n - 2
     while True:
@@ -69,10 +75,11 @@ def _extra_edges(n: int, log_q: float, rng: random.Random) -> list[Edge]:
         # Carry the overshoot into the following rows; row u holds n - u - 1 pairs.
         while v >= n:
             if u == last_row:
-                return edges
+                return
             u += 1
             v -= n - u - 1
-        edges.append((u, v))
+        add_u(u)
+        add_v(v)
 
 
 def build_random_interval_connected(
@@ -85,20 +92,32 @@ def build_random_interval_connected(
         raise ValueError("extra_edge_prob must be in [0, 1]")
     rng = derive_rng(seed, "random-interval", n)
     if extra_edge_prob >= 1.0:
-        complete = NetworkSnapshot(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-        snapshots = [complete] * horizon
-    elif extra_edge_prob > 0.0:
-        log_q = math.log1p(-extra_edge_prob)
-        snapshots = [
-            NetworkSnapshot(n, random_spanning_tree(n, rng) + _extra_edges(n, log_q, rng))
-            for _ in range(horizon)
-        ]
+        rounds = RoundSource.static(
+            NetworkSnapshot(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+        )
     else:
-        snapshots = [NetworkSnapshot(n, random_spanning_tree(n, rng)) for _ in range(horizon)]
+        # Every round is drawn now; round t's edges are us/vs[ends[t-1]:ends[t]],
+        # the tree's first, then the extra pairs (a pair may appear twice).
+        us, vs = node_array(n), node_array(n)
+        ends = array("Q", [0])
+        log_q = math.log1p(-extra_edge_prob) if extra_edge_prob > 0.0 else 0.0
+        for _ in range(horizon):
+            for u, v in random_spanning_tree(n, rng):
+                us.append(u)
+                vs.append(v)
+            if log_q:
+                _extra_edges(n, log_q, rng, us, vs)
+            ends.append(len(us))
+
+        def build(t: int) -> NetworkSnapshot:
+            a, b = ends[t - 1], ends[t]
+            return NetworkSnapshot(n, zip(us[a:b], vs[a:b]))
+
+        rounds = RoundSource(lambda t: t, build)
     return AdversarySchedule(
         n=n,
         horizon=horizon,
-        snapshots=snapshots,
+        rounds=rounds,
         mode="oblivious",
         metadata={
             "generator": "random-interval-connected",

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .core import AdversarySchedule, NetworkSnapshot, token_mask
+from .core import AdversarySchedule, RoundSource, node_array, token_mask
 
 
 def icbrt(n: int) -> int:
@@ -97,10 +97,6 @@ def build_skb_adversary(params: SkbAdversaryParams) -> AdversarySchedule:
     middle: list[int] = list(range(1, n))
     right: list[int] = []
 
-    def line_snapshot() -> NetworkSnapshot:
-        order = left + [0] + middle + right
-        return NetworkSnapshot(n, zip(order, order[1:]))
-
     meta = {
         "generator": "skb-blocker",
         "params": {
@@ -125,7 +121,7 @@ def build_skb_adversary(params: SkbAdversaryParams) -> AdversarySchedule:
         ),
     }
 
-    snapshots: list[NetworkSnapshot] = []
+    lines = []  # one line order per segment
     insertions: dict[int, list[tuple[int, int]]] = {}
     round_index = 0
 
@@ -138,10 +134,9 @@ def build_skb_adversary(params: SkbAdversaryParams) -> AdversarySchedule:
                 break
             watched = middle[: params.blocker_set_size]
             iw = min(params.inner_width, max(0, len(watched) - 1))
-            snap = line_snapshot()
+            lines.append(node_array(n, left + [0] + middle + right))
             start = round_index + 1
             for k in range(1, params.segment_rounds + 1):
-                snapshots.append(snap)
                 round_index += 1
                 # Node v_m receives set B_{phase, k-m+1} (0-based index k - m).
                 insertions[round_index] = sorted(
@@ -166,7 +161,7 @@ def build_skb_adversary(params: SkbAdversaryParams) -> AdversarySchedule:
     return AdversarySchedule(
         n=n,
         horizon=round_index,
-        snapshots=snapshots,
+        rounds=RoundSource.lines(n, lines, params.segment_rounds),
         insertion_masks=insertions,
         mode="invasive",
         metadata=meta,

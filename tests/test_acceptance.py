@@ -354,7 +354,7 @@ def test_criterion_10_validator_correctness():
         t = rng.randrange(1, 25)
         base = ring_sched.snapshot_at(t)
         extra = sorted(base.edges)[rng.randrange(len(base.edges))]
-        mutated_snaps = list(ring_sched.snapshots)
+        mutated_snaps = [ring_sched.snapshot_at(r) for r in range(1, 25)]
         mutated_snaps[t - 1] = NetworkSnapshot(8, base.edges - {extra})
         mutated = AdversarySchedule(8, 24, mutated_snaps)
         if not validate_paths_respecting(mutated, ring_infra, ring_systems).ok:

@@ -14,6 +14,11 @@ from gossipsim.core import token_mask, validate_snapshot
 from gossipsim.dgs1 import schedule_to_text
 
 
+def snapshots(schedule):
+    """Every round's graph, through `snapshot_at`."""
+    return [schedule.snapshot_at(t) for t in range(1, schedule.horizon + 1)]
+
+
 def recompute_counts(n, epsilon=1.0 / 32.0):
     """Independent re-derivation of the clamped parameter formulas."""
     m = math.isqrt(n)
@@ -87,7 +92,7 @@ def start_holdings(schedule):
 class TestInvasive:
     def test_every_snapshot_is_a_line(self):
         schedule = build_blocker_line_invasive(BlockerLineParams(64, seed=1))
-        for snap in schedule.snapshots:
+        for snap in snapshots(schedule):
             assert is_path_graph(snap)
 
     def test_horizon_is_phases_times_segments_times_rounds(self):
@@ -178,7 +183,7 @@ class TestOblivious:
         # group at the even positions of its scatter nodes, none at the odd
         params = BlockerLineParams(144, seed=8)
         schedule = build_blocker_line_oblivious(params)
-        first = schedule.snapshots[0]
+        first = schedule.snapshot_at(1)
         seg = schedule.metadata["segments"][0]
         assert first.adjacency[0] == [seg["interval"][0]]
         assert validate_snapshot(first).ok
@@ -232,7 +237,7 @@ class TestOblivious:
             line = walk_line(obl.snapshot_at(t), 0, seg["interval"][0])
             twin = walk_line(inv.snapshot_at(t), 0, seg["interval"][0])
             assert line == [x for x in twin if x not in set(parked)] + parked
-        assert obl.snapshots[-1] == inv.snapshots[-1]
+        assert snapshots(obl)[-1] == snapshots(inv)[-1]
 
     def test_start_holdings_are_blocker_groups(self):
         params = BlockerLineParams(2916, seed=3)  # two phases
@@ -249,7 +254,7 @@ class TestOblivious:
 
     def test_all_rounds_connected(self):
         schedule = build_blocker_line_oblivious(BlockerLineParams(64, seed=2))
-        for snap in schedule.snapshots:
+        for snap in snapshots(schedule):
             assert validate_snapshot(snap).ok
 
     def test_deterministic_bytes(self):

@@ -12,6 +12,7 @@ from gossipsim.core import (
     InsertionEvent,
     NetworkSnapshot,
     PlanError,
+    RoundSource,
     ScheduleError,
     TokenState,
     TokenUniverse,
@@ -23,8 +24,13 @@ from gossipsim.core import (
     token_mask,
     validate_snapshot,
 )
-from gossipsim.blocker_line import BlockerLineParams, build_blocker_line_invasive
+from gossipsim.blocker_line import (
+    BlockerLineParams,
+    build_blocker_line_invasive,
+    build_blocker_line_oblivious,
+)
 from gossipsim.dgs1 import schedule_to_text
+from gossipsim.harness import build_schedule
 from gossipsim.protocols import RandDiff
 from gossipsim.skb_adversary import SkbAdversaryParams, build_skb_adversary
 
@@ -236,6 +242,12 @@ class TestScheduleValidate:
         ok = AdversarySchedule(3, 1, [snap], {1: [(0, 1), (2, 1)]}, mode="invasive")
         assert ok.validate() == []
 
+    def test_insertion_node_outside_node_range_flagged(self):
+        snap = NetworkSnapshot(3, [(0, 1), (1, 2)])
+        schedule = AdversarySchedule(3, 1, [snap], {1: [(0, 1), (7, 1)]}, mode="invasive")
+        problems = schedule.validate()
+        assert any("round 1" in p and "node 7" in p for p in problems)
+
     def test_disconnected_round_flagged(self):
         schedule = AdversarySchedule(3, 1, [NetworkSnapshot(3, [(0, 1)])])
         assert any("disconnected" in p for p in schedule.validate())
@@ -422,9 +434,11 @@ def test_insertion_masks_apply_like_per_token_events(data):
     assert state.holdings == [token_mask(a) for a in arrivals]
 
 
-# DGS1 exports pinned byte for byte, as the per-token event lists wrote them.
-# blocker-144 has one phase; blocker-2304 has two, so its phase-1 right-line
-# completion shares a round with the phase-2 scatter.
+# DGS1 exports pinned byte for byte: the invasive and skb schedules as the
+# per-token event lists wrote them, the others as the generators wrote them
+# when they stored every round's snapshot.  blocker-144 has one phase;
+# blocker-2304 has two, so its phase-1 right-line completion shares a round
+# with the phase-2 scatter.
 
 
 @pytest.mark.parametrize(
@@ -442,9 +456,107 @@ def test_insertion_masks_apply_like_per_token_events(data):
             lambda: build_skb_adversary(SkbAdversaryParams(64, 1)),
             "fa320b5ff98dc6db2232bfeacd316d7134433a0e6b40eb0ee25ab57e9ff7be2e",
         ),
+        (
+            lambda: build_schedule(
+                {"name": "random", "extra_edge_prob": 0.2, "horizon": 40}, 24, 5
+            ),
+            "95a456f8fb6c701f5489cd0eca57be386a278c01be3dffb5a0299f9147f4cdb4",
+        ),
+        (
+            lambda: build_schedule({"name": "random", "extra_edge_prob": 1.0, "horizon": 6}, 12, 5),
+            "6cbcdf1d4485f65558d7ee5105da884287ce5e42132585e9461b7bcc77dd067a",
+        ),
+        (
+            lambda: build_schedule(
+                {"name": "ring-failure", "policy": "random", "horizon": 60}, 16, 2
+            ),
+            "a28a16de094496dcf24cf3eb69cbd3a1c7c37a15c22306e0ab351ec0e9155ce1",
+        ),
+        (
+            lambda: build_schedule({"name": "center-terminal", "r": 6, "horizon": 30}, 20, 4),
+            "6752bd9b29e35d9ad4c187debc664ded325e600083461a1d3d3eb18ffd909ff3",
+        ),
+        (
+            lambda: build_blocker_line_oblivious(BlockerLineParams(144, 1)),
+            "3e2ed283da40efb5c406017b4f441a6271ff354353693fd9568af269afcaad4c",
+        ),
+        (
+            lambda: build_blocker_line_oblivious(BlockerLineParams(2304, 3)),
+            "2c261a102ad4e1361b7a631c7e2c25f2b34f17421333359018a42a1b5f1f8344",
+        ),
     ],
-    ids=["blocker-144", "blocker-2304", "skb-64"],
+    ids=[
+        "blocker-144",
+        "blocker-2304",
+        "skb-64",
+        "random-p0.2",
+        "random-p1",
+        "ring-random",
+        "center-terminal",
+        "oblivious-144",
+        "oblivious-2304",
+    ],
 )
 def test_dgs1_export_pinned(build, digest):
     text = schedule_to_text(build())
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# Round sources
+
+
+class TestRoundSource:
+    def test_one_object_per_segment_and_for_the_tail(self):
+        params = BlockerLineParams(144, 1, epsilon=0.25)  # three rounds per segment
+        for schedule in (
+            build_blocker_line_invasive(params),
+            build_blocker_line_oblivious(params),
+            build_skb_adversary(SkbAdversaryParams(64, 1)),
+        ):
+            rounds = schedule.metadata["params"]["segment_rounds"]
+            assert rounds >= 2
+            first = schedule.snapshot_at(1)
+            assert schedule.snapshot_at(rounds) is first
+            assert schedule.snapshot_at(rounds + 1) is not first
+            last = schedule.snapshot_at(schedule.horizon)
+            assert schedule.snapshot_at(schedule.horizon + 1) is last
+            assert schedule.snapshot_at(schedule.horizon + 50) is last
+
+    def test_repeated_calls_in_a_round_share_one_object(self):
+        schedule = build_schedule({"name": "random", "horizon": 20}, 16, 3)
+        snap = schedule.snapshot_at(7)
+        assert schedule.snapshot_at(7) is snap
+        assert snap.directed_edges is schedule.snapshot_at(7).directed_edges
+        assert schedule.snapshot_at(8) is not snap
+        assert schedule.snapshot_at(21) is schedule.snapshot_at(20)
+
+    def test_only_the_latest_key_is_built(self):
+        built = []
+
+        def build(key):
+            built.append(key)
+            return NetworkSnapshot(2, [(0, 1)])
+
+        source = RoundSource(lambda t: (t - 1) // 3, build)
+        for t in (1, 2, 3, 4, 4, 1, 1):
+            source(t)
+        assert built == [0, 1, 0]
+
+    def test_snapshot_list_must_match_horizon(self):
+        snap = NetworkSnapshot(2, [(0, 1)])
+        with pytest.raises(ScheduleError):
+            AdversarySchedule(2, 3, [snap, snap])
+
+
+@given(connected_graph, st.data())
+@settings(max_examples=60, deadline=None)
+def test_without_matches_a_fresh_snapshot(graph, data):
+    n, extra = graph
+    base = _connect(n, extra)
+    removed = data.draw(st.sets(st.sampled_from(sorted(base.edges))))
+    derived = base.without(removed)
+    fresh = NetworkSnapshot(n, base.edges - removed)
+    assert derived == fresh
+    assert derived.directed_edges == fresh.directed_edges
+    assert derived.adjacency == fresh.adjacency

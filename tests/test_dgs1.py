@@ -50,6 +50,13 @@ class TestFormat:
         with pytest.raises(Dgs1Error):
             schedule_from_text("DGS1 3 1 invasive\nR 1\nE 0 1\nE 1 2\n" + lines)
 
+    def test_insertion_node_outside_node_range_rejected_with_line(self):
+        text = "DGS1 3 1 invasive\nR 1\nE 0 1\nE 1 2\nI 7 0\n"
+        with pytest.raises(Dgs1Error) as err:
+            schedule_from_text(text)
+        assert err.value.line == 5
+        assert "node 7" in str(err.value)
+
     def test_disconnected_round_rejected_with_round_number(self):
         text = "DGS1 3 1 oblivious\nR 1\nE 0 1\n"
         with pytest.raises(Dgs1Error) as err:

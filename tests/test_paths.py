@@ -21,6 +21,11 @@ from gossipsim.paths import (
 )
 
 
+def snapshots(schedule):
+    """Every round's graph, through `snapshot_at`."""
+    return [schedule.snapshot_at(t) for t in range(1, schedule.horizon + 1)]
+
+
 def eager_ring_systems(n):
     systems = []
     for s in range(n):
@@ -48,7 +53,7 @@ def eager_center_terminal_systems(n, r):
 def oracle_report(schedule, infrastructure, systems):
     """Round-major reference: every round against every system, in order."""
     systems = list(systems)
-    for t, snap in enumerate(schedule.snapshots, start=1):
+    for t, snap in enumerate(snapshots(schedule), start=1):
         extra = snap.edges - infrastructure.edges
         if extra:
             return PathsReport(False, "edge-outside-infrastructure", (t, sorted(extra)[0]))
@@ -56,7 +61,7 @@ def oracle_report(schedule, infrastructure, systems):
         problems = system.validate(infrastructure)
         if problems:
             return PathsReport(False, "bad-path-system", (idx, problems[0]))
-    for t, snap in enumerate(schedule.snapshots, start=1):
+    for t, snap in enumerate(snapshots(schedule), start=1):
         inactive = infrastructure.edges - snap.edges
         for idx, system in enumerate(systems):
             count = sum(1 for group in system.edges() for e in group if e in inactive)
@@ -76,7 +81,7 @@ class TestRingFailure:
 
     def test_every_snapshot_is_a_path(self):
         schedule, _, _ = build_ring_failure(7, "random", seed=3, horizon=30)
-        for snap in schedule.snapshots:
+        for snap in snapshots(schedule):
             assert validate_snapshot(snap).ok
             degs = [len(a) for a in snap.adjacency]
             assert max(degs) <= 2 and degs.count(1) == 2
@@ -111,13 +116,13 @@ class TestRingFailure:
 class TestCenterTerminal:
     def test_r3_disables_nothing(self):
         schedule, infra, _ = build_center_terminal(8, 3, seed=0, horizon=5)
-        for snap in schedule.snapshots:
+        for snap in snapshots(schedule):
             assert snap.edges == infra.edges
 
     def test_removed_edge_count_matches_independent_counter(self):
         n, r = 12, 6
         schedule, infra, _ = build_center_terminal(n, r, seed=2, horizon=10)
-        for snap in schedule.snapshots:
+        for snap in snapshots(schedule):
             removed = len(infra.edges) - len(snap.edges)
             assert removed == 2 * (n - r)  # fail_count=2 centers, each losing n-r edges
         # infrastructure edge count oracle: r*(n-r) + C(r,2)
@@ -125,7 +130,7 @@ class TestCenterTerminal:
 
     def test_all_rounds_connected(self):
         schedule, _, _ = build_center_terminal(12, 6, seed=2, horizon=20)
-        for snap in schedule.snapshots:
+        for snap in snapshots(schedule):
             assert validate_snapshot(snap).ok
 
     def test_validator_accepts_every_round(self):
@@ -186,7 +191,7 @@ class TestValidatorRejections:
             base = schedule.snapshot_at(t)
             candidates = sorted(base.edges)
             extra = candidates[rng.randrange(len(candidates))]
-            mutated_snaps = list(schedule.snapshots)
+            mutated_snaps = snapshots(schedule)
             mutated_snaps[t - 1] = NetworkSnapshot(n, base.edges - {extra})
             mutated = AdversarySchedule(n, 12, mutated_snaps)
             report = validate_paths_respecting(mutated, infra, systems)
@@ -231,6 +236,21 @@ class TestLazySystems:
         assert schedule.horizon == 4 * n
         assert peak < 20 * 2**20
 
+    @pytest.mark.parametrize("policy", ["round-robin", "random"])
+    def test_ring_schedule_keeps_no_snapshot_per_variant(self, policy):
+        """One removed-edge index per round: n variant snapshots of n - 1
+        edges each traced 33 MB at n = 1024."""
+        n = 1024
+        tracemalloc.start()
+        try:
+            spec = {"name": "ring-failure", "policy": policy, "horizon": 4 * n}
+            schedule = build_schedule(spec, n, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert schedule.horizon == 4 * n
+        assert peak < 2 * 2**20
+
 
 @st.composite
 def mutated_paths_schedules(draw):
@@ -246,7 +266,7 @@ def mutated_paths_schedules(draw):
         n = draw(st.integers(4, 10))
         r = draw(st.integers(3, n - 1))
         schedule, infra, systems = build_center_terminal(n, r, seed, horizon)
-    snaps = list(schedule.snapshots)
+    snaps = snapshots(schedule)
     for _ in range(draw(st.integers(1, 3))):
         t = draw(st.integers(0, horizon - 1))
         if snaps[t].edges:
