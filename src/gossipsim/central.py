@@ -247,7 +247,7 @@ class BroadcastOutcome:
 
 
 def _holders(state, token: int) -> int:
-    return sum(1 for arrivals in state.arrivals if token in arrivals)
+    return sum(row[token] for row in state.member)
 
 
 def _flood_token(run: EngineRun, token: int, max_rounds: int) -> int:

@@ -24,9 +24,10 @@ import hashlib
 import random
 from array import array
 from bisect import bisect_left
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Protocol, Sequence
+from typing import Callable, Hashable, Iterable, NamedTuple, Protocol, Sequence
 
 NodeId = int
 TokenId = int
@@ -428,24 +429,69 @@ def draw_token(mask: int, rng: random.Random) -> int:
     return select_token(mask, rng._randbelow(count))
 
 
+class ArrivalView(Mapping):
+    """One node's arrivals as a read-only mapping token -> first-arrival
+    round, read live from the state.  Items come in arrival order, so their
+    rounds never decrease."""
+
+    __slots__ = ("_state", "_node")
+
+    def __init__(self, state: TokenState, node: int):
+        self._state = state
+        self._node = node
+
+    def _records(self) -> tuple[Sequence[int], Sequence[int]]:
+        return self._state.holdings_seq[self._node], self._state.when[self._node]
+
+    def __contains__(self, token) -> bool:
+        return self._state.holds(self._node, token)
+
+    def __getitem__(self, token: int) -> int:
+        if token not in self:
+            raise KeyError(token)
+        seq, when = self._records()
+        return when[seq.index(token)]
+
+    def __iter__(self):
+        return iter(self._records()[0])
+
+    def __len__(self) -> int:
+        return len(self._records()[0])
+
+    def __repr__(self):
+        return f"ArrivalView({dict(self.items())})"
+
+    def items(self):
+        return _ArrivalItems(self)
+
+
+class _ArrivalItems(ItemsView):
+    def __iter__(self):
+        return zip(*self._mapping._records())
+
+
 class TokenState:
     """Per-node token sets with first-arrival times.
 
-    Holdings only grow (store/copy/forward semantics).  `holdings[v]` is the
-    node's token set as a bitset, for set algebra across nodes.
-    `arrivals[v][tok]` is the round at which `tok` first appeared at `v`
-    (initially-held tokens have arrival round 0); single-token membership
-    tests use it, because a dict lookup is cheaper than a bit test on a wide
-    bitset.  `holdings_seq[v]` lists the node's tokens in arrival order,
-    which gives O(1) uniform sampling over held tokens.
+    Holdings only grow (store/copy/forward semantics).  Per node v:
+    `holdings[v]` is its token set as a bitset, for set algebra across
+    nodes; `member[v][tok]` is 1 iff v holds tok, for single-token tests;
+    `holdings_seq[v]` is its tokens in arrival order, which gives O(1)
+    uniform sampling over held tokens; and `when[v][i]` is the round at
+    which `holdings_seq[v][i]` first appeared at v (initially-held tokens
+    have round 0).  A node that holds nothing shares one immutable zero row
+    and empty sequences; its own `bytearray` row and arrays are made when
+    its first token lands.  `arrivals` gives the same records as one
+    read-only mapping per node.
     """
 
     __slots__ = (
         "n",
         "universe",
         "holdings",
+        "member",
         "holdings_seq",
-        "arrivals",
+        "when",
         "current_round",
         "_real_counts",
     )
@@ -459,49 +505,75 @@ class TokenState:
         self.n = n
         self.universe = universe
         self.holdings: list[int] = [0] * n
-        self.holdings_seq: list[list[int]] = [[] for _ in range(n)]
-        self.arrivals: list[dict[int, int]] = [{} for _ in range(n)]
+        self.member: list[bytes | bytearray] = [bytes(universe.size)] * n
+        self.holdings_seq: list[Sequence[int]] = [()] * n
+        self.when: list[Sequence[int]] = [()] * n
         self.current_round = 0
         self._real_counts = [0] * n
         if initial:
             for node, tokens in initial.items():
                 self.add_mask(node, token_mask(tokens), 0)
 
-    def _add(self, node: int, token: int, rnd: int) -> bool:
-        """Add a sent token: its sender holds it, so it is in the universe."""
-        arrivals = self.arrivals[node]
-        if token in arrivals:
-            return False
-        arrivals[token] = rnd
-        self.holdings[node] |= 1 << token
-        self.holdings_seq[node].append(token)
-        if token < self.universe.real_count:
-            self._real_counts[node] += 1
-        return True
+    def _open(self, node: int) -> bytearray:
+        """Give an empty node records of its own."""
+        row = self.member[node] = bytearray(self.universe.size)
+        self.holdings_seq[node] = node_array(self.universe.size)
+        self.when[node] = array("I")
+        return row
+
+    def _add_sends(self, plan: Sequence[Send], rnd: int) -> list[tuple[int, int]]:
+        """Land a validated plan's sends, whose senders hold their tokens, so
+        every token is in the universe; returns the new (token, node)
+        arrivals in plan order."""
+        member, holdings = self.member, self.holdings
+        seqs, whens, counts = self.holdings_seq, self.when, self._real_counts
+        real = self.universe.real_count
+        new = []
+        for _, node, token in plan:
+            row = member[node]
+            if row[token]:
+                continue
+            held = holdings[node]
+            if not held:
+                row = self._open(node)
+            row[token] = 1
+            holdings[node] = held | 1 << token
+            seqs[node].append(token)
+            whens[node].append(rnd)
+            if token < real:
+                counts[node] += 1
+            new.append((token, node))
+        return new
 
     def add_mask(self, node: int, mask: int, rnd: int) -> list[int]:
         """Add a token set at once; returns its newly held tokens, which are
         appended in ascending order."""
-        new = mask ^ (mask & self.holdings[node])
+        held = self.holdings[node]
+        new = mask ^ (mask & held)
         if not new:
             return []
         if new.bit_length() > self.universe.size:
             raise ValueError(f"token {new.bit_length() - 1} outside universe {self.universe}")
         tokens = mask_tokens(new)
-        self.holdings[node] |= new
-        self.holdings_seq[node].extend(tokens)
-        self.arrivals[node].update(dict.fromkeys(tokens, rnd))
+        row = self.member[node] if held else self._open(node)
+        for tok in tokens:
+            row[tok] = 1
+        self.holdings[node] = held | new
+        self.holdings_seq[node].fromlist(tokens)
+        self.when[node].fromlist([rnd] * len(tokens))
         self._real_counts[node] += (new & ((1 << self.universe.real_count) - 1)).bit_count()
         return tokens
 
+    @property
+    def arrivals(self) -> list[ArrivalView]:
+        """Per node, a read-only mapping token -> first-arrival round."""
+        return [ArrivalView(self, v) for v in range(self.n)]
+
     def holds(self, node: int, token: int) -> bool:
-        return token in self.arrivals[node]
+        return 0 <= token < self.universe.size and self.member[node][token] == 1
 
     def tokens(self, node: int) -> frozenset[int]:
-        return frozenset(self.arrivals[node])
-
-    def real_count(self, node: int) -> int:
-        return self._real_counts[node]
+        return frozenset(self.holdings_seq[node])
 
     def node_complete(self, node: int) -> bool:
         return self._real_counts[node] == self.universe.real_count
@@ -509,15 +581,6 @@ class TokenState:
     def all_complete(self) -> bool:
         target = self.universe.real_count
         return all(c == target for c in self._real_counts)
-
-    def copy(self) -> "TokenState":
-        dup = TokenState(self.n, self.universe)
-        dup.current_round = self.current_round
-        dup.holdings = list(self.holdings)
-        dup.holdings_seq = [list(s) for s in self.holdings_seq]
-        dup.arrivals = [dict(d) for d in self.arrivals]
-        dup._real_counts = list(self._real_counts)
-        return dup
 
     def __eq__(self, other):
         return (
@@ -534,7 +597,8 @@ def validate_plan(plan: Sequence[Send], snapshot: NetworkSnapshot, state: TokenS
     """Raise PlanError unless every send uses a live edge, a held token, and
     each directed edge carries at most one token."""
     used: set[tuple[int, int]] = set()
-    arrivals = state.arrivals
+    member = state.member
+    size = state.universe.size
     for send in plan:
         u, v, tok = send
         if u == v:
@@ -544,7 +608,7 @@ def validate_plan(plan: Sequence[Send], snapshot: NetworkSnapshot, state: TokenS
         if (u, v) in used:
             raise PlanError(f"directed edge ({u}, {v}) used twice")
         used.add((u, v))
-        if tok not in arrivals[u]:
+        if not (0 <= tok < size and member[u][tok]):
             raise PlanError(f"sender {u} does not hold token {tok}")
 
 
@@ -665,10 +729,7 @@ class EngineRun:
                 raise ScheduleError(f"round {t}: invalid snapshot: {check.reason}")
         state = self.state
         validate_plan(plan, snapshot, state)
-        new_arrivals: list[tuple[int, int]] = []
-        for u, v, tok in plan:
-            if state._add(v, tok, t):
-                new_arrivals.append((tok, v))
+        new_arrivals = state._add_sends(plan, t)
         # Nodes to check for completion: one per send arrival, one per mask.
         receivers = [v for _, v in new_arrivals]
         for node, mask in self.schedule.insertions_at(t):

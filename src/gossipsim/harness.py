@@ -24,6 +24,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Mapping, Sequence
 
 from .blocker_line import (
     DEFAULT_EPSILON,
@@ -41,6 +42,7 @@ from .core import (
     TokenState,
     TokenUniverse,
     run_simulation,
+    token_mask,
 )
 from .dgs1 import import_schedule
 from .paths import build_center_terminal, build_ring_failure
@@ -154,9 +156,15 @@ def first_sentinel_crossing(state: TokenState, metadata: dict) -> tuple[int, int
     if not sentinels or not targets:
         return None
     sentinel_set = set(sentinels)
+    sentinel_mask = token_mask(sentinels)
+    arrivals = state.arrivals
     best = None
     for node in targets:
-        for tok, rnd in state.arrivals[node].items():
+        if not state.holdings[node] & sentinel_mask:
+            continue
+        for tok, rnd in arrivals[node].items():
+            if best is not None and rnd > best[0]:
+                break  # rounds never decrease in arrival order
             if tok in sentinel_set and (best is None or (rnd, node, tok) < best):
                 best = (rnd, node, tok)
     return best
@@ -522,14 +530,15 @@ def load_trace(path: str | Path) -> list[dict[int, int]]:
 
 
 def measure_blocker_separation(
-    arrivals: list[dict[int, int]], metadata: dict
+    arrivals: Sequence[Mapping[int, int]], metadata: dict
 ) -> dict:
     """Fraction of ordered adjacent inner-node pairs, over all segment run
     rounds, whose one-sided holding difference is below sqrt(n)/16.
 
     Holdings during round t are those with arrival time at most t-1.  Each
-    inner node's holdings are kept as a bitset that grows, round by round,
-    by the node's arrivals in round order.
+    node's arrivals must iterate in round order, as `TokenState.arrivals`
+    and `load_trace` give them.  Each inner node's holdings are kept as a
+    bitset that grows, round by round, by the node's arrivals.
     """
     segments = metadata.get("segments")
     if not segments:
@@ -541,16 +550,16 @@ def measure_blocker_separation(
     for seg in segments:
         inner = seg["inner"]
         lo, hi = seg["rounds"]
-        # Per inner node: (arrival round, token) in round order, the index
+        # Per inner node: (token, arrival round) in round order, the index
         # of the next one to take in, and the bitset taken in so far.
-        pending = [sorted((r, tok) for tok, r in arrivals[v].items()) for v in inner]
+        pending = [list(arrivals[v].items()) for v in inner]
         taken = [0] * len(inner)
         held = [0] * len(inner)
         for t in range(lo, hi + 1):
             for i, events in enumerate(pending):
                 j, mask = taken[i], held[i]
-                while j < len(events) and events[j][0] <= t - 1:
-                    mask |= 1 << events[j][1]
+                while j < len(events) and events[j][1] <= t - 1:
+                    mask |= 1 << events[j][0]
                     j += 1
                 taken[i], held[i] = j, mask
             for held_a, held_b in zip(held, held[1:]):

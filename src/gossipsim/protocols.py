@@ -59,13 +59,13 @@ def sym_diff_step(
     """
     plan: list[Send] = []
     holdings = state.holdings
-    arrivals = state.arrivals
+    member = state.member
     for u, v in sorted(snapshot.edges):
         sym = holdings[u] ^ holdings[v]
         if not sym:
             continue
         tok = draw_token(sym, rng)
-        if tok in arrivals[u]:
+        if member[u][tok]:
             plan.append((u, v, tok))
         else:
             plan.append((v, u, tok))
@@ -92,13 +92,14 @@ class SkbPolicy:
         raise NotImplementedError
 
     def sample_round(
-        self, rng: random.Random, round_index: int, arrivals: list, holdings_seq: list
+        self, rng: random.Random, round_index: int, state: TokenState
     ) -> list[tuple[int, int]]:
         """The round's (node, token) sends: one rng draw for each node
         holding a token, in ascending node order; a draw past the masses
         leaves the node idle."""
         picks = []
-        for node, seq in enumerate(holdings_seq):
+        arrivals = state.arrivals
+        for node, seq in enumerate(state.holdings_seq):
             if seq:
                 masses = self.masses(round_index, node, arrivals[node])
                 x, acc = rng.random(), 0.0
@@ -121,13 +122,13 @@ class UniformSkbPolicy(SkbPolicy):
         w = 1.0 / len(arrivals)
         return {tok: w for tok in arrivals}
 
-    def sample_round(self, rng, round_index, arrivals, holdings_seq):
+    def sample_round(self, rng, round_index, state):
         # A uniform index into the arrival order: `rng._randbelow(m)`, which
         # is randrange(m)'s draw, inlined with its getrandbits rejection loop
         # so the stream stays the same.
         getrandbits = rng.getrandbits
         picks = []
-        for node, seq in enumerate(holdings_seq):
+        for node, seq in enumerate(state.holdings_seq):
             m = len(seq)
             if m:
                 k = m.bit_length()
@@ -168,8 +169,8 @@ def check_skb_policy(
         if total > 1.0 + tol:
             violations.append(f"node {node}: total mass {total} exceeds 1")
         by_arrival: dict[int, list[int]] = {}
-        for tok in arrivals:
-            by_arrival.setdefault(arrivals[tok], []).append(tok)
+        for tok, when in arrivals.items():
+            by_arrival.setdefault(when, []).append(tok)
         for when, toks in by_arrival.items():
             if len(toks) < 2:
                 continue
@@ -198,11 +199,11 @@ def skb_step(
     """
     plan: list[Send] = []
     adjacency = snapshot.adjacency
-    arrivals = state.arrivals
-    picks = policy.sample_round(rng, state.current_round + 1, arrivals, state.holdings_seq)
+    member = state.member
+    picks = policy.sample_round(rng, state.current_round + 1, state)
     for node, tok in picks:
         for nb in adjacency[node]:
-            if tok not in arrivals[nb]:
+            if not member[nb][tok]:
                 plan.append((node, nb, tok))
     return plan
 
@@ -214,10 +215,12 @@ def skb_step(
 def flood_step(token: int, state: TokenState, snapshot: NetworkSnapshot) -> list[Send]:
     """Every holder forwards the token on edges whose far end lacks it."""
     plan: list[Send] = []
-    arrivals = state.arrivals
+    if not 0 <= token < state.universe.size:
+        return plan
+    member = state.member
     for u, v in snapshot.edges:
-        u_has = token in arrivals[u]
-        v_has = token in arrivals[v]
+        u_has = member[u][token]
+        v_has = member[v][token]
         if u_has and not v_has:
             plan.append((u, v, token))
         elif v_has and not u_has:

@@ -1,6 +1,7 @@
 """Engine semantics: snapshot validation, round application, determinism."""
 
 import hashlib
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -116,6 +117,9 @@ class TestApplyRound:
         run = one_round(state, [(0, 1)])
         with pytest.raises(PlanError):
             run.execute([(1, 0, 0)])
+        for tok in (-1, 1):  # -1 would index token 0's membership byte
+            with pytest.raises(PlanError):
+                run.execute([(0, 1, tok)])
 
     def test_absent_edge_rejected(self):
         state = TokenState(3, TokenUniverse(1, 1), {0: [0]})
@@ -133,6 +137,60 @@ class TestApplyRound:
         state = TokenState(2, TokenUniverse(2, 2), {0: [0], 1: [1]})
         one_round(state, [(0, 1)]).execute([(0, 1, 0), (1, 0, 1)])
         assert state.holds(1, 0) and state.holds(0, 1)
+
+
+class TestTokenState:
+    def test_full_state_is_compact(self):
+        """Every node holds every token at n=1024: a membership byte per
+        (node, token) and 6 bytes per held token.  A dict and a list per
+        node traced 65.3 MB here."""
+        n = 1024
+        everything = (1 << n) - 1
+        tracemalloc.start()
+        try:
+            state = TokenState(n, TokenUniverse(n, n))
+            for v in range(n):
+                state.add_mask(v, everything, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert state.all_complete()
+        assert peak < 12 * 2**20
+
+    def test_empty_nodes_allocate_nothing(self):
+        """One source at n=4096: the other nodes share one zero row and
+        empty sequences.  Per-node containers traced 0.86 MB here."""
+        n = 4096
+        tracemalloc.start()
+        try:
+            state = TokenState(n, TokenUniverse(n, n), {0: range(n)})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert state.node_complete(0) and not state.holds(1, 0)
+        assert peak < 0.5 * 2**20
+
+    def test_arrival_view_is_a_read_only_mapping(self):
+        state = TokenState(3, TokenUniverse(8, 8), {0: [5]})
+        state.add_mask(0, token_mask([7, 2]), 3)
+        view = state.arrivals[0]
+        assert list(view.items()) == [(5, 0), (2, 3), (7, 3)]  # arrival order
+        assert list(view) == [5, 2, 7] and list(view.values()) == [0, 3, 3]
+        assert view == {2: 3, 5: 0, 7: 3} and len(view) == 3
+        assert view[7] == 3 and view.get(1) is None
+        with pytest.raises(KeyError):
+            view[1]
+        # -3 would index token 5's membership byte
+        assert 5 in view and all(t not in view for t in (-3, -1, 8, 100, 1))
+        with pytest.raises(TypeError):
+            view[1] = 4
+        assert state.arrivals[1] == {} and len(state.arrivals[1]) == 0
+
+    def test_holds_only_tokens_in_the_universe(self):
+        state = TokenState(2, TokenUniverse(8, 8), {0: [5, 7]})
+        assert state.holds(0, 5) and state.holds(0, 7)
+        assert not any(state.holds(0, t) for t in (-3, -1, 8, 13))
+        assert not any(state.holds(1, t) for t in (-1, 0, 5, 8))
 
 
 class TestRunSimulation:
@@ -360,7 +418,8 @@ def test_bitsets_agree_with_arrivals(graph, seed):
     final = run_simulation(schedule, RandDiff(), state, 8, seed=seed).final_state
     for v in range(n):
         assert final.holdings[v] == token_mask(final.arrivals[v])
-        assert final.holdings_seq[v] == list(final.arrivals[v])
+        assert list(final.holdings_seq[v]) == list(final.arrivals[v])
+        assert list(final.when[v]) == sorted(final.when[v])  # arrival order is round order
 
 
 # Insertion masks against a per-token oracle
@@ -428,7 +487,8 @@ def test_insertion_masks_apply_like_per_token_events(data):
     run = EngineRun(schedule, state, seed=0, max_rounds=rounds)
     got = [run.execute(plan) for plan in plans]
     assert got == expected
-    assert state.holdings_seq == seq
+    assert [list(s) for s in state.holdings_seq] == seq
+    assert [list(w) for w in state.when] == [list(a.values()) for a in arrivals]
     assert state.arrivals == arrivals
     assert run.per_node_completion == completion
     assert state.holdings == [token_mask(a) for a in arrivals]

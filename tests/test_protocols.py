@@ -1,6 +1,7 @@
 """Protocol step semantics and empirical send distributions."""
 
 import math
+from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -170,13 +171,18 @@ class TestSkb:
         lengths = range(1, 5001)
         for key in range(4):
             rng, ref = derive_rng("skb-draw", key), derive_rng("skb-draw", key)
-            picks = uniform_skb().sample_round(rng, 1, None, [range(m) for m in lengths])
+            # skb-uniform reads only the state's arrival-order sequences
+            state = SimpleNamespace(holdings_seq=[range(m) for m in lengths])
+            picks = uniform_skb().sample_round(rng, 1, state)
             assert picks == [(i, ref._randbelow(m)) for i, m in enumerate(lengths)]
             assert rng.random() == ref.random()
 
     def test_uniform_round_draw_skips_empty_nodes(self):
         rng, ref = derive_rng("skb-empty"), derive_rng("skb-empty")
-        picks = uniform_skb().sample_round(rng, 1, None, [[], [7, 3], [], [5]])
+        state = TokenState(4, TokenUniverse(8, 8))
+        for node, tok in [(1, 7), (1, 3), (3, 5)]:  # node 1's arrival order: 7, 3
+            state.add_mask(node, 1 << tok, 0)
+        picks = uniform_skb().sample_round(rng, 1, state)
         assert picks == [(1, [7, 3][ref._randbelow(2)]), (3, 5)]
         ref._randbelow(1)  # a single held token still costs a draw
         assert rng.random() == ref.random()
@@ -195,7 +201,7 @@ class TestSkb:
         run = EngineRun(AdversarySchedule(n, 1, [snap]), state, seed=0, max_rounds=1)
         run.execute([(0, 1, 0)])
         rng, ref = derive_rng("masses"), derive_rng("masses")
-        picks = Newest().sample_round(rng, 2, state.arrivals, state.holdings_seq)
+        picks = Newest().sample_round(rng, 2, state)
         assert picks == [(1, 0)]  # node 0 holds only a round-0 token: idle
         ref.random(), ref.random()
         assert rng.random() == ref.random()
@@ -253,6 +259,10 @@ class TestFlood:
     def test_saturated_region_silent(self):
         state = two_node_state([0], [0])
         assert flood_step(0, state, EDGE) == []
+
+    def test_token_outside_universe_silent(self):
+        state = two_node_state([0, 1], [], size=2)
+        assert all(flood_step(tok, state, EDGE) == [] for tok in (-1, 2, 99))
 
     def test_star_one_round(self):
         n = 5
