@@ -142,8 +142,8 @@ class TestApplyRound:
 class TestTokenState:
     def test_full_state_is_compact(self):
         """Every node holds every token at n=1024: a membership byte per
-        (node, token) and 6 bytes per held token.  A dict and a list per
-        node traced 65.3 MB here."""
+        (node, token) and 6 bytes per held token (7.9 MB traced).  A dict
+        and a list per node traced 65.4 MB."""
         n = 1024
         everything = (1 << n) - 1
         tracemalloc.start()
@@ -159,7 +159,8 @@ class TestTokenState:
 
     def test_empty_nodes_allocate_nothing(self):
         """One source at n=4096: the other nodes share one zero row and
-        empty sequences.  Per-node containers traced 0.86 MB here."""
+        empty sequences (0.36 MB traced).  A dict and a list per node
+        traced 1.03 MB."""
         n = 4096
         tracemalloc.start()
         try:
