@@ -2,7 +2,8 @@
 """Centralized k-gossip across an (n, k) grid on random connected schedules.
 
 Reports completion rounds against the min(nk, 64(n+k)sqrt(n)log^2 n) budget
-for both the automatic strategy and the forced staged pipeline.
+for sequential per-token flooding (mode naive) and, with --staged, the
+staged pipeline.
 
 Usage: python scripts/kgossip_budget_sweep.py [--n 16 32 64] [--seeds 3]
 """
@@ -46,7 +47,7 @@ def main():
     parser.add_argument("--seeds", type=int, default=3)
     parser.add_argument("--staged", action="store_true", help="also run the staged pipeline")
     args = parser.parse_args()
-    run_grid(args.n, args.seeds, "auto")
+    run_grid(args.n, args.seeds, "naive")
     if args.staged:
         run_grid(args.n, args.seeds, "staged")
 

@@ -281,10 +281,10 @@ def build_blocker_line_oblivious(params: BlockerLineParams) -> AdversarySchedule
     groups = blocker_partition(params)
     segments, right_lines = _trajectory(params)
     holders = [seg.interval[: params.sqrt_n : 2] for seg in segments]
-    start: dict[int, set[int]] = {}
+    start: dict[int, set[int]] = {}  # holder -> indices of the groups it holds
     for seg, nodes in zip(segments, holders):
         for node in nodes:
-            start.setdefault(node, set()).update(groups[seg.phase - 1])
+            start.setdefault(node, set()).add(seg.phase - 1)
 
     lines = []
     for k, seg in enumerate(segments):
@@ -298,7 +298,9 @@ def build_blocker_line_oblivious(params: BlockerLineParams) -> AdversarySchedule
         lines.append(node_array(params.n, [v for v in seg.line if v not in parked_set] + parked))
 
     meta = _base_metadata(params, "oblivious", segments, right_lines)
-    meta["start_holdings"] = [[node, sorted(start[node])] for node in sorted(start)]
+    meta["start_holdings"] = [  # groups are contiguous and ascending: tokens come sorted
+        [node, [tok for g in sorted(start[node]) for tok in groups[g]]] for node in sorted(start)
+    ]
     return AdversarySchedule(
         n=params.n,
         horizon=len(segments) * params.segment_rounds,

@@ -236,7 +236,7 @@ class CentralParams:
     c_ex: float = 1.0
     c_cap: float = 8.0
     c_s: float = 2.0
-    mode: str = "auto"  # k-gossip strategy: auto | staged | naive
+    mode: str = "naive"  # k-gossip strategy: naive | staged
 
 
 @dataclass
@@ -355,11 +355,6 @@ class GossipOutcome:
     strategy: str = "staged"
 
 
-def _staged_bound(n: int, k: int) -> int:
-    log2n = math.log2(max(2, n))
-    return math.ceil(64 * (n + k) * math.sqrt(n) * log2n * log2n)
-
-
 def k_gossip_centralized(
     run: EngineRun,
     k: int,
@@ -367,8 +362,7 @@ def k_gossip_centralized(
 ) -> GossipOutcome:
     """Complete k-token gossip under full current-round knowledge.
 
-    Two strategies, chosen by whichever worst-case bound is smaller (mode
-    `auto`), or forced via params.mode:
+    Two strategies, chosen by params.mode:
 
     * naive: flood each real token in sequence (at most n rounds each, so at
       most nk in total);
@@ -384,6 +378,9 @@ def k_gossip_centralized(
     Stalls (cover too large, exchange cap, round budget) yield a marked
     outcome identifying the stage.
     """
+    strategy = params.mode
+    if strategy not in ("naive", "staged"):
+        raise ValueError(f"unknown k-gossip mode {strategy!r} (naive or staged)")
     state = run.state
     n = state.n
     if k != state.universe.real_count:
@@ -393,9 +390,6 @@ def k_gossip_centralized(
         raise ValueError(
             f"universe size {state.universe.size} != padded size {len(groups) * n}"
         )
-    strategy = params.mode
-    if strategy == "auto":
-        strategy = "naive" if n * k <= _staged_bound(n, k) else "staged"
 
     logs: list[StageLog] = []
     try:

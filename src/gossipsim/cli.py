@@ -2,8 +2,8 @@
 
 Subcommands:
   gen         generate a schedule file (plus JSON metadata sidecar)
-  validate    structurally validate a schedule, optionally against the
-              infrastructure and path systems of a `gen` .paths.json file
+  validate    structurally validate a schedule; with --paths, also against
+              the path family its metadata sidecar names
   run         run the (n, seed) grid of a JSON experiment config
   sweep       run a grid and fit the log-log scaling slope
   separation  blocker-line holding-difference statistic from a trace
@@ -16,7 +16,6 @@ import json
 import sys
 from pathlib import Path
 
-from .core import NetworkSnapshot
 from .dgs1 import default_metadata_path, export_schedule, import_schedule, save_metadata
 from .harness import (
     ExperimentConfig,
@@ -26,8 +25,7 @@ from .harness import (
     run_experiment,
     sweep,
 )
-from .paths import PathSystem, ring_infrastructure, ring_path_systems, validate_paths_respecting
-from .paths import center_terminal_infrastructure, center_terminal_path_systems
+from .paths import path_family, validate_paths_respecting
 
 
 def _cmd_gen(args) -> int:
@@ -35,33 +33,15 @@ def _cmd_gen(args) -> int:
     for key in ("policy", "r", "extra_edge_prob", "epsilon"):
         if getattr(args, key) is not None:
             spec[key] = getattr(args, key)
-    if args.adversary == "center-terminal" and args.r is None:
-        print("center-terminal requires --r", file=sys.stderr)
+    try:
+        schedule = build_schedule(spec, args.n, args.seed)
+    except (KeyError, ValueError) as exc:
+        print(f"gen: {exc.args[0]}", file=sys.stderr)
         return 2
-    schedule = build_schedule(spec, args.n, args.seed)
     export_schedule(schedule, args.out)
     save_metadata(schedule, default_metadata_path(args.out))
-    if args.adversary == "ring-failure":
-        _write_paths(args.out, ring_infrastructure(args.n), ring_path_systems(args.n))
-    elif args.adversary == "center-terminal":
-        _write_paths(
-            args.out,
-            center_terminal_infrastructure(args.n, args.r),
-            center_terminal_path_systems(args.n, args.r),
-        )
     print(f"wrote {args.out} (n={schedule.n}, horizon={schedule.horizon}, mode={schedule.mode})")
     return 0
-
-
-def _write_paths(out: str, infra: NetworkSnapshot, systems) -> None:
-    """Write `<out>.paths.json`, holding one path system at a time."""
-    infra_json = json.dumps({"n": infra.n, "edges": sorted(map(list, infra.edges))})
-    with open(out + ".paths.json", "w", encoding="utf-8") as fh:
-        fh.write(f'{{"infrastructure": {infra_json}, "systems": [')
-        for i, s in enumerate(systems):
-            entry = {"source": s.source, "dest": s.dest, "paths": [list(p) for p in s.paths]}
-            fh.write((", " if i else "") + json.dumps(entry))
-        fh.write("]}\n")
 
 
 def _cmd_validate(args) -> int:
@@ -71,25 +51,30 @@ def _cmd_validate(args) -> int:
         print(f"REJECT: {exc}")
         return 1
     problems = schedule.validate()
+    if not problems and args.paths:
+        problems = _paths_problems(schedule, default_metadata_path(args.schedule))
     if problems:
         print(f"REJECT: {problems[0]}")
         return 1
-    if args.paths:
-        payload = json.loads(Path(args.paths).read_text(encoding="utf-8"))
-        infra = NetworkSnapshot(
-            payload["infrastructure"]["n"],
-            [tuple(e) for e in payload["infrastructure"]["edges"]],
-        )
-        systems = (
-            PathSystem(s["source"], s["dest"], tuple(tuple(p) for p in s["paths"]))
-            for s in payload["systems"]
-        )
-        report = validate_paths_respecting(schedule, infra, systems)
-        if not report.ok:
-            print(f"REJECT: {report.reason} {report.violation}")
-            return 1
     print(f"OK: {schedule.horizon} rounds, n={schedule.n}, mode={schedule.mode}")
     return 0
+
+
+def _paths_problems(schedule, sidecar: Path) -> list[str]:
+    """Check `schedule` against the path family its sidecar names."""
+    if not sidecar.exists():
+        return [f"--paths needs the metadata sidecar {sidecar}"]
+    try:
+        family = path_family(schedule.metadata)
+    except ValueError as exc:
+        return [f"sidecar {sidecar}: {exc}"]
+    if family is None:
+        return [f"sidecar generator {schedule.metadata.get('generator')!r} names no path family"]
+    infra, systems = family
+    if infra.n != schedule.n:
+        return [f"sidecar n={infra.n} differs from the schedule's n={schedule.n}"]
+    report = validate_paths_respecting(schedule, infra, systems)
+    return [] if report.ok else [f"{report.reason} {report.violation}"]
 
 
 def _cmd_run(args) -> int:
@@ -150,7 +135,7 @@ def main(argv=None) -> int:
 
     val = sub.add_parser("validate", help="validate a schedule file")
     val.add_argument("schedule")
-    val.add_argument("--paths", default=None)
+    val.add_argument("--paths", action="store_true", help="check the sidecar's path family")
     val.set_defaults(func=_cmd_validate)
 
     run_p = sub.add_parser("run", help="run an experiment config")

@@ -34,9 +34,6 @@ TokenId = int
 Edge = tuple[int, int]        # canonical form (u, v) with u <= v
 Send = tuple[int, int, int]   # (sender, receiver, token)
 
-# A transfer plan is the set of directed sends executed in one round.
-TransferPlan = list
-
 
 class PlanError(ValueError):
     """A transfer plan violated edge or holding preconditions.
@@ -366,9 +363,6 @@ class TokenUniverse:
         if not (0 <= self.real_count <= self.size):
             raise ValueError("real_count must be within [0, size]")
 
-    def is_dummy(self, token: TokenId) -> bool:
-        return token >= self.real_count
-
 
 # Token sets as Python-int bitsets: bit t set <=> token t in the set.
 
@@ -624,9 +618,6 @@ class SteppedProtocol(Protocol):
     ) -> list[Send]: ...
 
 
-TIMEOUT = "TIMEOUT"
-
-
 @dataclass
 class SimulationResult:
     """Outcome of one run.  `completion_round` is None on timeout."""
@@ -742,9 +733,6 @@ class EngineRun:
             self._note_arrival(node, t)
         self.per_round_new_arrivals.append(len(new_arrivals))
         return new_arrivals
-
-    def idle_round(self) -> None:
-        self.execute([])
 
     def result(self, stopped_early: bool = False) -> SimulationResult:
         done = self.complete()

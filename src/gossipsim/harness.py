@@ -91,6 +91,8 @@ def build_schedule(spec: dict, n: int, fallback_seed: int) -> AdversarySchedule:
     if name == "ring-failure":
         return build_ring_failure(n, spec.get("policy", "round-robin"), seed, horizon)[0]
     if name == "center-terminal":
+        if "r" not in spec:
+            raise KeyError("center-terminal needs r")
         return build_center_terminal(n, spec["r"], seed, horizon)[0]
     if name == "blocker-invasive":
         return build_blocker_line_invasive(

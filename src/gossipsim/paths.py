@@ -10,13 +10,15 @@ Two generator families:
 * center-terminal: r hub nodes adjacent to every other node; per round a
   fixed-size group of hubs loses all its terminal edges (a constant fraction
   of the infrastructure).
+
+`path_family` rebuilds either from a schedule's generator metadata.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
 from .core import (
     AdversarySchedule,
@@ -168,9 +170,12 @@ def build_ring_failure(
     `random` removes a seeded uniform edge, `fixed-edge` always removes
     edge (0, 1).
     """
-    if n < 3:
-        raise ValueError("need n >= 3")
-    infra = ring_infrastructure(n)
+    metadata = {
+        "generator": "ring-failure",
+        "params": {"n": n, "policy": policy, "horizon": horizon},
+        "seed": seed,
+    }
+    infra, systems = path_family(metadata)
     rng = derive_rng(seed, "ring-failure", n, horizon)
     policies = {
         "round-robin": lambda t: t % n,
@@ -189,14 +194,10 @@ def build_ring_failure(
             lambda k: infra.without([canonical_edge(k, (k + 1) % n)]),
         ),
         mode="oblivious",
-        metadata={
-            "generator": "ring-failure",
-            "params": {"n": n, "policy": policy, "horizon": horizon},
-            "seed": seed,
-        },
+        metadata=metadata,
         cyclic_extendable=True,
     )
-    return schedule, infra, ring_path_systems(n)
+    return schedule, infra, systems
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +238,13 @@ def build_center_terminal(
     the adversary stays oblivious).  Center-center edges survive, keeping
     each round connected.
     """
-    if not (3 <= r <= n - 1):
-        raise ValueError("need 3 <= r <= n-1")
-    infra = center_terminal_infrastructure(n, r)
     fail_count = (r - 2) // 2
+    metadata = {
+        "generator": "center-terminal",
+        "params": {"n": n, "r": r, "horizon": horizon, "fail_count": fail_count},
+        "seed": seed,
+    }
+    infra, systems = path_family(metadata)
     rng = derive_rng(seed, "center-terminal", n, r, horizon)
     offset = rng.randrange(r)
     # Round t disables centers first, first + 1, ... (mod r) for its stored first.
@@ -255,11 +259,34 @@ def build_center_terminal(
         horizon=horizon,
         rounds=RoundSource(lambda t: firsts[t - 1], build),
         mode="oblivious",
-        metadata={
-            "generator": "center-terminal",
-            "params": {"n": n, "r": r, "horizon": horizon, "fail_count": fail_count},
-            "seed": seed,
-        },
+        metadata=metadata,
         cyclic_extendable=True,
     )
-    return schedule, infra, center_terminal_path_systems(n, r)
+    return schedule, infra, systems
+
+
+# ---------------------------------------------------------------------------
+# Path family of a generator
+
+
+def path_family(metadata: Mapping) -> tuple[NetworkSnapshot, PairPathSystems] | None:
+    """The infrastructure and pair path systems of the generator `metadata`
+    names, from its params n and r; None if that generator has no family.
+
+    Metadata may come from a file's sidecar, so this raises ValueError
+    unless n is an integer >= 3 and, for center-terminal, r one in [3, n-1].
+    """
+    generator = metadata.get("generator")
+    if generator not in ("ring-failure", "center-terminal"):
+        return None
+    params = metadata.get("params")
+    if not isinstance(params, Mapping):
+        params = {}
+    n, r = params.get("n"), params.get("r")
+    if type(n) is not int or n < 3:
+        raise ValueError(f"need an integer n >= 3, got {n!r}")
+    if generator == "ring-failure":
+        return ring_infrastructure(n), ring_path_systems(n)
+    if type(r) is not int or not 3 <= r <= n - 1:
+        raise ValueError(f"need an integer r in [3, n-1], got {r!r}")
+    return center_terminal_infrastructure(n, r), center_terminal_path_systems(n, r)

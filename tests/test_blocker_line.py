@@ -1,6 +1,9 @@
 """Blocker-line generator structure, determinism, and variant pairing."""
 
+import hashlib
+import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -251,6 +254,27 @@ class TestOblivious:
         assert start_holdings(schedule) == expected
         assert not set().union(*expected.values()) & set(meta["sentinel_tokens"])
         assert schedule.validate() == []
+
+    def test_start_holdings_pinned(self):
+        # n=2304 has two phases; the digest was taken from the build that
+        # gathered each holder's tokens in a set, before holdings were
+        # recorded as group indices
+        schedule = build_blocker_line_oblivious(BlockerLineParams(2304, seed=1))
+        text = json.dumps(schedule.metadata["start_holdings"])
+        assert (
+            hashlib.sha256(text.encode()).hexdigest()
+            == "2cd2f386f742ef35895f4442a09dda5d60337653750a7f6e8a6a6a24aef9a867"
+        )
+
+    def test_build_memory_at_n4096(self):
+        # 2.7 MB traced peak; a token set per holder took 5.4 MB
+        tracemalloc.start()
+        try:
+            build_blocker_line_oblivious(BlockerLineParams(4096, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
     def test_all_rounds_connected(self):
         schedule = build_blocker_line_oblivious(BlockerLineParams(64, seed=2))

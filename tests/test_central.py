@@ -223,6 +223,15 @@ class TestKGossip:
         budget = min(n * k, 64 * (n + k) * math.sqrt(n) * math.log2(n) ** 2)
         assert outcome.result.completion_round <= budget
 
+    def test_unknown_mode_rejected(self):
+        n, k = 8, 8
+        universe = kgossip_universe(k, n)
+        for mode in ("auto", "Staged", "stagd"):
+            run = fresh_run(complete_graph(n), {0: range(universe.size)}, universe, max_rounds=100)
+            with pytest.raises(ValueError, match="unknown k-gossip mode"):
+                k_gossip_centralized(run, k, CentralParams(mode=mode))
+            assert run.rounds_executed == 0
+
     def test_staged_mode_completes_on_static_graph(self):
         n, k = 16, 16
         universe = kgossip_universe(k, n)

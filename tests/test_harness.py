@@ -23,7 +23,6 @@ from gossipsim.harness import (
     summarize_sweep,
     sweep,
 )
-from gossipsim.paths import center_terminal_infrastructure, center_terminal_path_systems
 
 
 def flood_config(out=None, n_list=(4,), seeds=(0,)):
@@ -67,6 +66,27 @@ class TestRunExperiment:
         config.n_list = [6]
         rows = run_experiment(config)
         assert rows[0]["completion_round"] == "TIMEOUT"
+
+    def test_worker_pool_gives_serial_rows(self, monkeypatch):
+        config = ExperimentConfig(
+            adversary={"name": "ring-failure", "policy": "round-robin", "horizon": 48},
+            protocol={"name": "rand-diff"},
+            initial={"kind": "one-token-per-node"},
+            n_list=[8, 12],
+            seeds=[1, 2],
+            max_rounds=400,
+        )
+
+        def strip_wall(rows):
+            return [{k: v for k, v in r.items() if k != "wall_time_ms"} for r in rows]
+
+        monkeypatch.setenv("GOSSIPSIM_WORKERS", "1")
+        serial = run_experiment(config)
+        monkeypatch.setenv("GOSSIPSIM_WORKERS", "2")
+        pooled = run_experiment(config)
+        assert [(r["n"], r["seed"]) for r in pooled] == [(8, 1), (8, 2), (12, 1), (12, 2)]
+        assert all(r["completion_round"] != "TIMEOUT" for r in serial)
+        assert strip_wall(pooled) == strip_wall(serial)
 
     def test_config_hash_emitted(self, tmp_path):
         out = tmp_path / "hashed.csv"
@@ -213,58 +233,75 @@ class TestSentinelPlumbing:
 class TestCli:
     def test_gen_validate_round_trip(self, tmp_path):
         out = tmp_path / "ring.dgs"
-        assert (
-            cli_main(
-                [
-                    "gen",
-                    "--adversary",
-                    "ring-failure",
-                    "--n",
-                    "6",
-                    "--seed",
-                    "2",
-                    "--horizon",
-                    "12",
-                    "--out",
-                    str(out),
-                ]
-            )
-            == 0
-        )
-        assert out.exists()
-        assert (tmp_path / "ring.dgs.meta.json").exists()
-        paths_file = tmp_path / "ring.dgs.paths.json"
-        assert paths_file.exists()
+        argv = ["gen", "--adversary", "ring-failure", "--n", "6", "--seed", "2"]
+        assert cli_main(argv + ["--horizon", "12", "--out", str(out)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ring.dgs", "ring.dgs.meta.json"]
         assert cli_main(["validate", str(out)]) == 0
-        assert cli_main(["validate", str(out), "--paths", str(paths_file)]) == 0
+        assert cli_main(["validate", str(out), "--paths"]) == 0
 
-    def test_gen_paths_file_lists_every_system(self, tmp_path):
+    def test_gen_center_terminal_writes_schedule_and_sidecar(self, tmp_path):
         out = tmp_path / "ct.dgs"
         argv = ["gen", "--adversary", "center-terminal", "--n", "12", "--r", "6", "--seed", "3"]
         assert cli_main(argv + ["--horizon", "20", "--out", str(out)]) == 0
-        infra = center_terminal_infrastructure(12, 6)
-        payload = {
-            "infrastructure": {"n": 12, "edges": sorted(map(list, infra.edges))},
-            "systems": [
-                {"source": s.source, "dest": s.dest, "paths": [list(p) for p in s.paths]}
-                for s in center_terminal_path_systems(12, 6)
-            ],
-        }
-        assert (tmp_path / "ct.dgs.paths.json").read_text() == json.dumps(payload) + "\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ct.dgs", "ct.dgs.meta.json"]
         built = build_schedule({"name": "center-terminal", "r": 6, "horizon": 20}, 12, 3)
-        assert (tmp_path / "ct.dgs").read_text() == schedule_to_text(built)
+        assert out.read_text() == schedule_to_text(built)
+        assert cli_main(["validate", str(out), "--paths"]) == 0
         no_r = ["gen", "--adversary", "center-terminal", "--n", "12", "--seed", "3"]
-        assert cli_main(no_r + ["--out", str(out)]) == 2
+        assert cli_main(no_r + ["--out", str(tmp_path / "no_r.dgs")]) == 2
+        assert not (tmp_path / "no_r.dgs").exists()
 
     def test_validate_rejects_paths_violation(self, tmp_path, capsys):
         out = tmp_path / "ring.dgs"
         argv = ["gen", "--adversary", "ring-failure", "--n", "6", "--seed", "2", "--horizon", "4"]
         assert cli_main(argv + ["--out", str(out)]) == 0
-        payload = json.loads((tmp_path / "ring.dgs.paths.json").read_text())
-        payload["infrastructure"]["edges"].remove([0, 1])
-        (tmp_path / "bad.paths.json").write_text(json.dumps(payload))
-        assert cli_main(["validate", str(out), "--paths", str(tmp_path / "bad.paths.json")]) == 1
+        # The ring's edge (3, 4) lies outside the center-terminal infrastructure.
+        sidecar = {"generator": "center-terminal", "params": {"n": 6, "r": 3}}
+        (tmp_path / "ring.dgs.meta.json").write_text(json.dumps(sidecar))
+        capsys.readouterr()
+        assert cli_main(["validate", str(out), "--paths"]) == 1
         assert "edge-outside-infrastructure" in capsys.readouterr().out
+
+    def test_validate_paths_reports_budget_witness(self, tmp_path, capsys):
+        out = tmp_path / "ct.dgs"
+        argv = ["gen", "--adversary", "center-terminal", "--n", "12", "--r", "6", "--seed", "3"]
+        assert cli_main(argv + ["--horizon", "20", "--out", str(out)]) == 0
+        lines = out.read_text().split("\n")
+        # Center pair (0, 1) has one path, its direct edge, so a budget of 0.
+        del lines[lines.index("E 0 1", lines.index("R 3"))]
+        out.write_text("\n".join(lines))
+        capsys.readouterr()
+        assert cli_main(["validate", str(out)]) == 0
+        capsys.readouterr()
+        assert cli_main(["validate", str(out), "--paths"]) == 1
+        assert capsys.readouterr().out == "REJECT: budget-exceeded (0, 3, 1, 0)\n"
+
+    @pytest.mark.parametrize(
+        "sidecar, reason",
+        [
+            (None, "needs the metadata sidecar"),
+            ({"generator": "random-interval-connected", "params": {"n": 6}}, "names no path family"),
+            ({"generator": "ring-failure", "params": {"n": 7}}, "sidecar n=7 differs"),
+            ({"generator": "ring-failure", "params": {"n": "6"}}, "need an integer n >= 3"),
+            ({"generator": "center-terminal", "params": {"n": 6, "r": 6}}, "need an integer r in [3, n-1]"),
+            ({"generator": "center-terminal", "params": {"n": 6}}, "need an integer r in [3, n-1]"),
+        ],
+    )
+    def test_validate_paths_rejects_bad_sidecar(self, tmp_path, capsys, sidecar, reason):
+        out = tmp_path / "ring.dgs"
+        argv = ["gen", "--adversary", "ring-failure", "--n", "6", "--seed", "2", "--horizon", "4"]
+        assert cli_main(argv + ["--out", str(out)]) == 0
+        meta = tmp_path / "ring.dgs.meta.json"
+        if sidecar is None:
+            meta.unlink()
+        else:
+            meta.write_text(json.dumps(sidecar))
+        capsys.readouterr()
+        assert cli_main(["validate", str(out)]) == 0
+        capsys.readouterr()
+        assert cli_main(["validate", str(out), "--paths"]) == 1
+        printed = capsys.readouterr().out
+        assert printed.startswith("REJECT: ") and reason in printed
 
     def test_gen_oblivious_blocker_carries_start_distribution(self, tmp_path):
         out = tmp_path / "blk.dgs"
@@ -349,7 +386,7 @@ class TestCentralDispatch:
     def test_central_kgossip_by_name(self):
         config = ExperimentConfig(
             adversary={"name": "ring-failure", "policy": "round-robin", "horizon": 300},
-            protocol={"name": "central-kgossip", "mode": "auto"},
+            protocol={"name": "central-kgossip", "mode": "naive"},
             initial={"kind": "one-token-per-node"},
             n_list=[8],
             seeds=[2],

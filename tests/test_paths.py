@@ -15,6 +15,7 @@ from gossipsim.paths import (
     build_ring_failure,
     center_terminal_infrastructure,
     center_terminal_path_systems,
+    path_family,
     ring_infrastructure,
     ring_path_systems,
     validate_paths_respecting,
@@ -196,6 +197,54 @@ class TestValidatorRejections:
             mutated = AdversarySchedule(n, 12, mutated_snaps)
             report = validate_paths_respecting(mutated, infra, systems)
             assert not report.ok
+
+
+class TestPathFamily:
+    def test_builders_return_the_family_their_metadata_names(self):
+        for schedule, infra, systems in (
+            build_ring_failure(7, "random", seed=3, horizon=5),
+            build_center_terminal(9, 4, seed=2, horizon=5),
+        ):
+            family_infra, family_systems = path_family(schedule.metadata)
+            assert family_infra.edges == infra.edges
+            assert list(family_systems) == list(systems)
+
+    def test_matches_eager_enumeration(self):
+        infra, systems = path_family({"generator": "ring-failure", "params": {"n": 8}})
+        assert infra.edges == ring_infrastructure(8).edges
+        assert list(systems) == eager_ring_systems(8)
+        metadata = {"generator": "center-terminal", "params": {"n": 8, "r": 5}}
+        infra, systems = path_family(metadata)
+        assert infra.edges == center_terminal_infrastructure(8, 5).edges
+        assert list(systems) == eager_center_terminal_systems(8, 5)
+
+    def test_other_generators_have_no_family(self):
+        assert path_family({}) is None
+        assert path_family({"generator": "random-interval-connected", "params": {"n": 8}}) is None
+        assert path_family(build_schedule({"name": "blocker-oblivious"}, 64, 1).metadata) is None
+
+    @pytest.mark.parametrize(
+        "generator, params",
+        [
+            ("ring-failure", None),
+            ("ring-failure", [8]),
+            ("ring-failure", {}),
+            ("ring-failure", {"n": "8"}),
+            ("ring-failure", {"n": 8.0}),
+            ("ring-failure", {"n": True}),
+            ("ring-failure", {"n": 2}),
+            ("center-terminal", {"n": 8}),
+            ("center-terminal", {"n": 8, "r": "5"}),
+            ("center-terminal", {"n": 8, "r": 2}),
+            ("center-terminal", {"n": 8, "r": 8}),
+        ],
+    )
+    def test_invalid_params_raise(self, generator, params):
+        metadata = {"generator": generator}
+        if params is not None:
+            metadata["params"] = params
+        with pytest.raises(ValueError):
+            path_family(metadata)
 
 
 class TestLazySystems:
