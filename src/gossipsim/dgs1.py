@@ -163,6 +163,8 @@ def import_schedule(path: str | Path, metadata_path: str | Path | None = None) -
     meta_file = Path(metadata_path) if metadata_path else default_metadata_path(path)
     if meta_file.exists():
         sidecar = json.loads(meta_file.read_text(encoding="utf-8"))
+        if not isinstance(sidecar, dict):
+            raise Dgs1Error(f"metadata sidecar {meta_file} is not a JSON object")
         schedule.cyclic_extendable = bool(sidecar.pop("cyclic_extendable", False))
         schedule.metadata = sidecar
     return schedule

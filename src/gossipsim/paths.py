@@ -142,6 +142,29 @@ class PairPathSystems:
                 yield PathSystem(s, d, self.route(s, d))
 
 
+def path_family(metadata: Mapping) -> tuple[NetworkSnapshot, PairPathSystems] | None:
+    """The infrastructure and pair path systems of the generator `metadata`
+    names, from its params n and r; None if that generator has no family.
+
+    Metadata may come from a file's sidecar, so this raises ValueError
+    unless n is an integer >= 3 and, for center-terminal, r one in [3, n-1].
+    """
+    generator = metadata.get("generator")
+    if generator not in ("ring-failure", "center-terminal"):
+        return None
+    params = metadata.get("params")
+    if not isinstance(params, Mapping):
+        params = {}
+    n, r = params.get("n"), params.get("r")
+    if type(n) is not int or n < 3:
+        raise ValueError(f"need an integer n >= 3, got {n!r}")
+    if generator == "ring-failure":
+        return ring_infrastructure(n), ring_path_systems(n)
+    if type(r) is not int or not 3 <= r <= n - 1:
+        raise ValueError(f"need an integer r in [3, n-1], got {r!r}")
+    return center_terminal_infrastructure(n, r), center_terminal_path_systems(n, r)
+
+
 # ---------------------------------------------------------------------------
 # Ring with one failing edge
 
@@ -264,29 +287,3 @@ def build_center_terminal(
     )
     return schedule, infra, systems
 
-
-# ---------------------------------------------------------------------------
-# Path family of a generator
-
-
-def path_family(metadata: Mapping) -> tuple[NetworkSnapshot, PairPathSystems] | None:
-    """The infrastructure and pair path systems of the generator `metadata`
-    names, from its params n and r; None if that generator has no family.
-
-    Metadata may come from a file's sidecar, so this raises ValueError
-    unless n is an integer >= 3 and, for center-terminal, r one in [3, n-1].
-    """
-    generator = metadata.get("generator")
-    if generator not in ("ring-failure", "center-terminal"):
-        return None
-    params = metadata.get("params")
-    if not isinstance(params, Mapping):
-        params = {}
-    n, r = params.get("n"), params.get("r")
-    if type(n) is not int or n < 3:
-        raise ValueError(f"need an integer n >= 3, got {n!r}")
-    if generator == "ring-failure":
-        return ring_infrastructure(n), ring_path_systems(n)
-    if type(r) is not int or not 3 <= r <= n - 1:
-        raise ValueError(f"need an integer r in [3, n-1], got {r!r}")
-    return center_terminal_infrastructure(n, r), center_terminal_path_systems(n, r)

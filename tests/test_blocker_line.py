@@ -256,9 +256,8 @@ class TestOblivious:
         assert schedule.validate() == []
 
     def test_start_holdings_pinned(self):
-        # n=2304 has two phases; the digest was taken from the build that
-        # gathered each holder's tokens in a set, before holdings were
-        # recorded as group indices
+        # n=2304 has two phases; digest of the holdings as a token set per
+        # holder gave them
         schedule = build_blocker_line_oblivious(BlockerLineParams(2304, seed=1))
         text = json.dumps(schedule.metadata["start_holdings"])
         assert (

@@ -110,3 +110,11 @@ class TestRoundTrip:
         assert again.cyclic_extendable == schedule.cyclic_extendable
         assert again.metadata["sentinel_tokens"] == schedule.metadata["sentinel_tokens"]
         assert again.metadata["target_nodes"] == schedule.metadata["target_nodes"]
+
+    @pytest.mark.parametrize("sidecar", ["[1, 2]", '"text"', "3"])
+    def test_sidecar_that_is_not_an_object_rejected(self, tmp_path, sidecar):
+        path = tmp_path / "tiny.dgs"
+        export_schedule(tiny_schedule(), path)
+        default_metadata_path(path).write_text(sidecar)
+        with pytest.raises(Dgs1Error, match="not a JSON object"):
+            import_schedule(path)

@@ -200,15 +200,6 @@ class TestValidatorRejections:
 
 
 class TestPathFamily:
-    def test_builders_return_the_family_their_metadata_names(self):
-        for schedule, infra, systems in (
-            build_ring_failure(7, "random", seed=3, horizon=5),
-            build_center_terminal(9, 4, seed=2, horizon=5),
-        ):
-            family_infra, family_systems = path_family(schedule.metadata)
-            assert family_infra.edges == infra.edges
-            assert list(family_systems) == list(systems)
-
     def test_matches_eager_enumeration(self):
         infra, systems = path_family({"generator": "ring-failure", "params": {"n": 8}})
         assert infra.edges == ring_infrastructure(8).edges
