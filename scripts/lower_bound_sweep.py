@@ -9,8 +9,9 @@ right-line target.  The same cells are run for two controls: flooding one
 sentinel token, and rand-diff from the source alone (no scatter).  Prints,
 per n, the schedule horizon, the three sentinel medians, and whether the
 cells meet acceptance criterion 6 (every rand-diff cell clears the horizon,
-and its median exceeds both controls'), then the fitted log-log slope, and
-writes the rand-diff rows as CSV.
+and its median exceeds both controls'), and each arm's median milliseconds
+per executed round (the round loop's time over the rounds it ran), then the
+fitted log-log slope, and writes the rand-diff rows as CSV.
 
 Usage: python scripts/lower_bound_sweep.py [--n 64 144 256 400] [--seeds 5]
 """
@@ -44,11 +45,15 @@ def sentinel_rounds(n_list, seeds, protocol, initial, out=None):
         stop_at_sentinel=True,
         measure="sentinel",
     )
-    # censored cells (no sentinel within max_rounds) count as max_rounds
-    return {
-        (row["n"], row["seed"]): row["sentinel_round"] or config.max_rounds
-        for row in run_experiment(config)
-    }
+    # Per (n, seed): the first sentinel round, with censored cells (no
+    # sentinel within max_rounds) counting as max_rounds, which is also the
+    # number of rounds the cell executed; and the round loop's milliseconds
+    # per executed round.
+    cells = {}
+    for row in run_experiment(config):
+        rounds = row["sentinel_round"] or config.max_rounds
+        cells[row["n"], row["seed"]] = (rounds, float(row["wall_time_ms"]) / rounds)
+    return cells
 
 
 def main():
@@ -68,15 +73,19 @@ def main():
         horizon = BlockerLineParams(n, seeds[0]).invasive_horizon()  # seed-independent
         # the highest token id is always a sentinel
         flood = sentinel_rounds([n], seeds, f"flood:{n - 1}", SINGLE_SOURCE)
-        med = median([rand_diff[n, s] for s in seeds])
-        controls = (median(list(flood.values())), median([no_scatter[n, s] for s in seeds]))
-        early = sum(1 for s in seeds if rand_diff[n, s] < horizon)
+        arms = {"rand-diff": rand_diff, "flood": flood, "no-scatter": no_scatter}
+        med, *controls = (median([cells[n, s][0] for s in seeds]) for cells in arms.values())
+        early = sum(1 for s in seeds if rand_diff[n, s][0] < horizon)
         cleared = "every cell cleared it" if early == 0 else f"{early} cells crossed before it"
         diluted = "above both controls" if med > max(controls) else "NOT above the controls"
         print(
             f"n={n:5d}  horizon={horizon}  sentinel median={med} ({cleared}; {diluted})  "
             f"flood={controls[0]}  no-scatter={controls[1]}  runs={len(seeds)}"
         )
+        per_round = "  ".join(
+            f"{name}={median([cells[n, s][1] for s in seeds]):.3f}" for name, cells in arms.items()
+        )
+        print(f"         median ms per executed round: {per_round}")
         points.append((n, med))
     if len(points) >= 2:
         print(f"log-log slope: {fit_loglog_slope(points):.3f}")

@@ -26,7 +26,8 @@ from array import array
 from bisect import bisect_left
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable, NamedTuple, Protocol, Sequence
 
 NodeId = int
@@ -72,7 +73,7 @@ def derive_rng(*keys) -> random.Random:
 class NetworkSnapshot:
     """One round's communication graph: undirected, expected connected."""
 
-    __slots__ = ("n", "edges", "_adjacency", "_directed")
+    __slots__ = ("n", "edges", "_adjacency", "_directed", "_line")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         self.n = n
@@ -82,6 +83,15 @@ class NetworkSnapshot:
         )
         self._adjacency = None
         self._directed = None
+        self._line = None
+
+    @classmethod
+    def line(cls, n: int, order: Sequence[int]) -> "NetworkSnapshot":
+        """The path graph along `order` (distinct nodes; the others are
+        isolated).  Its directed edges come from the order, with no sort."""
+        snap = cls(n, zip(order, order[1:]))
+        snap._line = order
+        return snap
 
     def __eq__(self, other):
         return (
@@ -115,11 +125,27 @@ class NetworkSnapshot:
         """All directed edges in ascending (sender, receiver) order."""
         if self._directed is None:
             directed = []
-            for u, v in self.edges:
-                if u != v:
-                    directed.append((u, v))
-                    directed.append((v, u))
-            directed.sort()
+            if self._line is not None:
+                # Each node's line neighbours, the lower first, node by node.
+                prev, succ = [-1] * self.n, [-1] * self.n
+                for u, v in zip(self._line, self._line[1:]):
+                    succ[u] = v
+                    prev[v] = u
+                append = directed.append
+                for u, a, b in zip(range(self.n), prev, succ):
+                    if a > b:
+                        a, b = b, a
+                    if a >= 0:
+                        append((u, a))
+                        append((u, b))
+                    elif b >= 0:
+                        append((u, b))
+            else:
+                for u, v in self.edges:
+                    if u != v:
+                        directed.append((u, v))
+                        directed.append((v, u))
+                directed.sort()
             self._directed = directed
         return self._directed
 
@@ -262,12 +288,22 @@ class RoundSource:
         return cls(lambda t: 0, lambda key: snapshot)
 
     @classmethod
+    def edge_arrays(
+        cls, n: int, us: Sequence[int], vs: Sequence[int], ends: Sequence[int]
+    ) -> "RoundSource":
+        """Round t's edges are `zip(us[a:b], vs[a:b])` with a, b = `ends[t-1]`,
+        `ends[t]`: every round kept as endpoint arrays, built one at a time."""
+
+        def build(t: int) -> NetworkSnapshot:
+            a, b = ends[t - 1], ends[t]
+            return NetworkSnapshot(n, zip(us[a:b], vs[a:b]))
+
+        return cls(lambda t: t, build)
+
+    @classmethod
     def lines(cls, n: int, orders: Sequence[Sequence[int]], span: int) -> "RoundSource":
         """Round t is the path graph along `orders[(t-1) // span]`."""
-        return cls(
-            lambda t: (t - 1) // span,
-            lambda k: NetworkSnapshot(n, zip(orders[k], orders[k][1:])),
-        )
+        return cls(lambda t: (t - 1) // span, lambda k: NetworkSnapshot.line(n, orders[k]))
 
 
 @dataclass
@@ -372,17 +408,42 @@ _SELECT8 = [tuple(i for i in range(8) if b >> i & 1) for b in range(256)]
 _LOW_MASKS: list[int] = []
 
 
+# Between a membership byte row (0/1 per token id) and a bitset's binary
+# digits, each way in one C pass.
+_BYTES_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_DIGITS_TO_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def token_mask(tokens: Iterable[int]) -> int:
-    """Bitset of a token collection."""
-    mask = 0
+    """Bitset of a token collection.
+
+    One `1 << tok` OR per token costs O(width) each, so a collection holding
+    at least 1/16 of its width is set in a byte row instead, one byte per id,
+    and read as the mask's binary digits.
+    """
+    tokens = list(tokens)
+    top = max(tokens, default=0)
+    if len(tokens) * 16 < top:
+        mask = 0
+        for tok in tokens:
+            mask |= 1 << tok
+        return mask
+    if min(tokens, default=0) < 0:
+        raise ValueError(f"negative token {min(tokens)}")
+    row = bytearray(top + 1)
     for tok in tokens:
-        mask |= 1 << tok
-    return mask
+        row[tok] = 1
+    row.reverse()
+    return int(row.translate(_BYTES_TO_DIGITS), 2)
 
 
 def mask_tokens(mask: int) -> list[int]:
-    """Tokens of a bitset in ascending order."""
+    """Tokens of a bitset in ascending order: a `find` per set bit for a
+    sparse mask, one C-level pass over the digits for a dense one."""
     bits = bin(mask)[:1:-1]  # bit i at index i
+    if mask.bit_count() * 8 >= len(bits):
+        flags = bits.encode().translate(_DIGITS_TO_BYTES)
+        return list(compress(range(len(flags)), flags))
     out = []
     i = bits.find("1")
     while i >= 0:
@@ -587,12 +648,28 @@ class TokenState:
         )
 
 
+_sender_receiver = itemgetter(0, 1)
+
+
 def validate_plan(plan: Sequence[Send], snapshot: NetworkSnapshot, state: TokenState) -> None:
     """Raise PlanError unless every send uses a live edge, a held token, and
-    each directed edge carries at most one token."""
-    used: set[tuple[int, int]] = set()
+    each directed edge carries at most one token.  A plan with several
+    faults reports the first in plan order."""
+    edges = snapshot.edges
     member = state.member
     size = state.universe.size
+    for u, v, tok in plan:
+        if not (
+            ((u, v) if u < v else (v, u) if v < u else None) in edges
+            and 0 <= tok < size
+            and member[u][tok]
+        ):
+            break
+    else:
+        if len(set(map(_sender_receiver, plan))) == len(plan):
+            return
+    # Some send is faulty: find the first and say what is wrong with it.
+    used: set[tuple[int, int]] = set()
     for send in plan:
         u, v, tok = send
         if u == v:
@@ -668,14 +745,19 @@ class EngineRun:
                 self.per_node_completion[v] = 0
                 self._complete_nodes += 1
         # Round-0 insertions land before the first round with arrival time 0.
-        for node, mask in schedule.insertions_at(0):
-            if state.add_mask(node, mask, 0):
-                self._note_arrival(node, 0)
+        self._note_completions(
+            [node for node, mask in schedule.insertions_at(0) if state.add_mask(node, mask, 0)], 0
+        )
 
-    def _note_arrival(self, node: int, t: int) -> None:
-        if node not in self.per_node_completion and self.state.node_complete(node):
-            self.per_node_completion[node] = t
-            self._complete_nodes += 1
+    def _note_completions(self, receivers: Iterable[int], t: int) -> None:
+        """Record round t for the receivers that hold every real token now."""
+        counts = self.state._real_counts
+        target = self.state.universe.real_count
+        done = self.per_node_completion
+        for node in receivers:
+            if counts[node] == target and node not in done:
+                done[node] = t
+                self._complete_nodes += 1
 
     @property
     def next_round(self) -> int:
@@ -729,8 +811,7 @@ class EngineRun:
                 new_arrivals.extend(zip(tokens, repeat(node)))
                 receivers.append(node)
         state.current_round = t
-        for node in receivers:
-            self._note_arrival(node, t)
+        self._note_completions(receivers, t)
         self.per_round_new_arrivals.append(len(new_arrivals))
         return new_arrivals
 

@@ -23,9 +23,21 @@ interval boundaries, sentinel sets, extendability).
 from __future__ import annotations
 
 import json
+import re
+from array import array
 from pathlib import Path
 
-from .core import AdversarySchedule, NetworkSnapshot, mask_tokens, validate_snapshot
+from .core import (
+    AdversarySchedule,
+    NetworkSnapshot,
+    RoundSource,
+    mask_tokens,
+    node_array,
+    validate_snapshot,
+)
+
+
+_LINE = re.compile(".*\n")
 
 
 class Dgs1Error(ValueError):
@@ -53,14 +65,10 @@ def export_schedule(schedule: AdversarySchedule, path: str | Path) -> None:
 
 
 def schedule_from_text(text: str) -> AdversarySchedule:
-    lines = text.split("\n")
     if not text.endswith("\n"):
         raise Dgs1Error("missing trailing newline")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise Dgs1Error("empty file")
-    header = lines[0].split()
+    lines = (m.group() for m in _LINE.finditer(text))  # one line at a time
+    header = next(lines).split()
     if len(header) != 4 or header[0] != "DGS1":
         raise Dgs1Error("bad header", 1)
     try:
@@ -71,7 +79,9 @@ def schedule_from_text(text: str) -> AdversarySchedule:
     if mode not in ("oblivious", "invasive"):
         raise Dgs1Error(f"unknown mode {mode!r}", 1)
 
-    snapshots: list[NetworkSnapshot] = []
+    # Round t's edges are us/vs[ends[t-1]:ends[t]]; each round's graph is
+    # checked here and built again only when a run or check asks for it.
+    us, vs, ends = node_array(n), node_array(n), array("Q", [0])
     insertions: dict[int, list[tuple[int, int]]] = {}
     current_round: int | None = None
     edges: list[tuple[int, int]] = []
@@ -91,7 +101,10 @@ def schedule_from_text(text: str) -> AdversarySchedule:
                     f"round {current_round}: {check.reason} (witness {check.witness})",
                     line_no,
                 )
-            snapshots.append(snap)
+            for u, v in edges:
+                us.append(u)
+                vs.append(v)
+            ends.append(len(us))
         elif edges:
             raise Dgs1Error("round 0 may not contain edges", line_no)
         if round_inserts:
@@ -99,7 +112,8 @@ def schedule_from_text(text: str) -> AdversarySchedule:
         edges = []
         round_inserts = []
 
-    for line_no, raw in enumerate(lines[1:], start=2):
+    line_no = 1
+    for line_no, raw in enumerate(lines, start=2):
         parts = raw.split()
         if not parts:
             raise Dgs1Error("blank line", line_no)
@@ -143,16 +157,16 @@ def schedule_from_text(text: str) -> AdversarySchedule:
                 round_inserts.append((node, 1 << token))
         else:
             raise Dgs1Error(f"unknown record {kind!r}", line_no)
-    close_round(len(lines))
+    close_round(line_no)
 
-    if len(snapshots) != horizon:
-        raise Dgs1Error(f"found {len(snapshots)} rounds, header says {horizon}")
+    if len(ends) - 1 != horizon:
+        raise Dgs1Error(f"found {len(ends) - 1} rounds, header says {horizon}")
     if mode == "oblivious" and insertions:
         raise Dgs1Error("oblivious schedule carries insertions")
     return AdversarySchedule(
         n=n,
         horizon=horizon,
-        rounds=snapshots,
+        rounds=RoundSource.edge_arrays(n, us, vs, ends),
         insertion_masks=insertions,
         mode=mode,
     )

@@ -185,7 +185,7 @@ def make_sentinel_stop(metadata: dict):
         return None
 
     def stop(state, round_index, new_arrivals):
-        return any(tok in sentinels and node in targets for tok, node in new_arrivals)
+        return not targets.isdisjoint([node for tok, node in new_arrivals if tok in sentinels])
 
     return stop
 

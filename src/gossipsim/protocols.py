@@ -43,7 +43,10 @@ def rand_diff_step(
     holdings = state.holdings
     for u, v in snapshot.directed_edges:
         held = holdings[u]
-        diff = held ^ (held & holdings[v])
+        other = holdings[v]
+        if held == other:  # most edges: one comparison instead of two big-int ops
+            continue
+        diff = held ^ (held & other)
         if diff:
             plan.append((u, v, draw_token(diff, rng)))
     return plan

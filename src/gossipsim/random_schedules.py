@@ -108,12 +108,7 @@ def build_random_interval_connected(
             if log_q:
                 _extra_edges(n, log_q, rng, us, vs)
             ends.append(len(us))
-
-        def build(t: int) -> NetworkSnapshot:
-            a, b = ends[t - 1], ends[t]
-            return NetworkSnapshot(n, zip(us[a:b], vs[a:b]))
-
-        rounds = RoundSource(lambda t: t, build)
+        rounds = RoundSource.edge_arrays(n, us, vs, ends)
     return AdversarySchedule(
         n=n,
         horizon=horizon,

@@ -20,6 +20,7 @@ from gossipsim.core import (
     derive_rng,
     draw_token,
     mask_tokens,
+    node_array,
     run_simulation,
     select_token,
     token_mask,
@@ -137,6 +138,42 @@ class TestApplyRound:
         state = TokenState(2, TokenUniverse(2, 2), {0: [0], 1: [1]})
         one_round(state, [(0, 1)]).execute([(0, 1, 0), (1, 0, 1)])
         assert state.holds(1, 0) and state.holds(0, 1)
+
+    @pytest.mark.parametrize(
+        "plan, message",
+        [
+            ([(1, 1, 0)], "self-send (1, 1, 0)"),
+            ([(0, 2, 0)], "send (0, 2, 0) uses absent edge"),
+            ([(0, 1, 0), (0, 1, 1)], "directed edge (0, 1) used twice"),
+            ([(1, 0, 0)], "sender 1 does not hold token 0"),
+            ([(0, 1, -1)], "sender 0 does not hold token -1"),
+            ([(0, 1, 2)], "sender 0 does not hold token 2"),  # 2 is the universe size
+        ],
+        ids=["self-send", "absent-edge", "duplicate", "unheld", "token-minus-one", "token-size"],
+    )
+    def test_plan_error_messages(self, plan, message):
+        state = TokenState(3, TokenUniverse(2, 2), {0: [0, 1]})
+        run = one_round(state, [(0, 1), (1, 2)])
+        with pytest.raises(PlanError) as err:
+            run.execute(plan)
+        assert str(err.value) == message
+        assert state.current_round == 0 and not state.holds(1, 0)
+
+    @pytest.mark.parametrize(
+        "plan, message",
+        [
+            ([(1, 2, 0), (0, 2, 0)], "sender 1 does not hold token 0"),
+            ([(0, 2, 0), (1, 2, 0)], "send (0, 2, 0) uses absent edge"),
+            ([(0, 1, 0), (0, 1, 1), (2, 2, 0)], "directed edge (0, 1) used twice"),
+            ([(0, 1, 0), (2, 2, 0), (0, 1, 1)], "self-send (2, 2, 0)"),
+            ([(0, 1, 5), (0, 1, 0), (0, 1, 1)], "sender 0 does not hold token 5"),
+        ],
+    )
+    def test_plan_with_two_faults_reports_the_earlier(self, plan, message):
+        state = TokenState(3, TokenUniverse(2, 2), {0: [0, 1]})
+        with pytest.raises(PlanError) as err:
+            one_round(state, [(0, 1), (1, 2)]).execute(plan)
+        assert str(err.value) == message
 
 
 class TestTokenState:
@@ -382,6 +419,7 @@ def test_conservation_by_arrival_replay(graph, seed):
 wide_masks = st.one_of(
     st.integers(1, 2**5000 - 1),
     st.sets(st.integers(0, 4999), min_size=1).map(token_mask),
+    st.integers(1, 5000).map(lambda width: (1 << width) - 1),  # full width
 )
 
 
@@ -397,6 +435,39 @@ def test_select_token_is_rank_in_sorted_tokens(mask, r):
     assert select_token(mask, r) == sorted(tokens)[r]
     assert mask_tokens(mask) == tokens
     assert token_mask(tokens) == mask
+
+
+@st.composite
+def token_collections(draw):
+    """Full-width, dense and sparse token collections, with repeats, in
+    the shapes callers pass (range, list, set, iterator)."""
+    width = draw(st.integers(1, 5000))
+    density = draw(st.sampled_from([1.0, 0.5, 1 / 8, 1 / 12, 1 / 16, 1 / 20, 1 / 100, 0.0]))
+    rng = derive_rng("collection", draw(st.integers(0, 2**32)))
+    if density == 1.0:
+        tokens = range(width)
+    else:
+        tokens = [t for t in range(width) if rng.random() < density]
+        tokens += rng.sample(tokens, len(tokens) // 3)  # repeats
+        rng.shuffle(tokens)
+    shape = draw(st.sampled_from([list, set, iter]))
+    return shape(tokens), sorted(set(tokens))
+
+
+@given(token_collections())
+@settings(max_examples=150, deadline=None)
+def test_token_mask_round_trips_dense_and_full_width(collection):
+    tokens, expected = collection
+    mask = token_mask(tokens)
+    assert mask == sum(1 << t for t in expected)
+    assert mask_tokens(mask) == expected
+    assert set(mask_tokens(mask)) == set(expected)
+
+
+@pytest.mark.parametrize("tokens", [[-1], [3, -1, 0], [-5, 400]])
+def test_token_mask_rejects_negative_tokens(tokens):
+    with pytest.raises(ValueError):
+        token_mask(tokens)
 
 
 @given(wide_masks, st.integers(0, 2**32))
@@ -608,6 +679,26 @@ class TestRoundSource:
         snap = NetworkSnapshot(2, [(0, 1)])
         with pytest.raises(ScheduleError):
             AdversarySchedule(2, 3, [snap, snap])
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_line_directed_edges_match_the_sorted_ones(data):
+    """A line's directed edges, read off its order, equal the generic
+    snapshot's sorted ones, for full and partial line orders."""
+    n = data.draw(st.integers(1, 300), "n")
+    order = data.draw(st.permutations(range(n)), "order")
+    order = order[: data.draw(st.integers(0, n), "length")]
+    if data.draw(st.booleans(), "as array"):
+        order = node_array(n, order)
+    line = NetworkSnapshot.line(n, order)
+    generic = NetworkSnapshot(n, zip(order, order[1:]))
+    assert line == generic
+    assert line.directed_edges == generic.directed_edges
+    assert line.directed_edges == sorted(
+        pair for u, v in generic.edges for pair in ((u, v), (v, u))
+    )
+    assert line.adjacency == generic.adjacency
 
 
 @given(connected_graph, st.data())

@@ -1,6 +1,7 @@
 """Experiment harness: CSV emission, determinism, slope fits, separation."""
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -461,3 +462,48 @@ class TestCrossProcessDeterminism:
                 [{k: v for k, v in r.items() if k != "wall_time_ms"} for r in rows]
             )
         assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "adversary, protocol, initial, n, rounds, stop, executed, completed, digests",
+    [
+        (  # randdiff-ring's cell, smaller
+            {"name": "ring-failure", "policy": "round-robin", "horizon": 192},
+            {"name": "rand-diff"}, {"kind": "single-source"}, 48, 192, False,
+            67, 48, ("9d3eebf0f946c4c1", "234b1763601a1314"),
+        ),
+        (  # kgossip-random's cell, smaller
+            {"name": "random", "extra_edge_prob": 0.1, "horizon": 4096},
+            {"name": "central-kgossip", "mode": "staged"},
+            {"kind": "single-source", "tokens": 32}, 16, 4096, False,
+            182, 16, ("2d0ea0429659fd72", "9a1d1ae24f8d9346"),
+        ),
+        (  # skb-blocker's cell, smaller
+            {"name": "skb-blocker"}, {"name": "skb-uniform"}, {"kind": "single-source"},
+            256, 240, False, 240, 1, ("54702df08034f226", "2ebd0081745782c3"),
+        ),
+        (  # blocker-sentinel's cell, smaller
+            {"name": "blocker-invasive"}, {"name": "rand-diff"}, {"kind": "single-source"},
+            144, 1728, True, 13, 1, ("54702df08034f226", "aec48be11a3c4ec8"),
+        ),
+        (  # the same schedule run on to completion, insertions included
+            {"name": "blocker-invasive"}, {"name": "rand-diff"}, {"kind": "single-source"},
+            144, 1728, False, 254, 144, ("aa46390e9ff8b264", "b517c14322f24a14"),
+        ),
+    ],
+    ids=["randdiff-ring", "kgossip-random", "skb-blocker", "blocker-sentinel", "blocker-complete"],
+)
+def test_per_node_completion_pinned(
+    adversary, protocol, initial, n, rounds, stop, executed, completed, digests
+):
+    """Per-node completion rounds and per-round arrival counts of one cell
+    of each benchmark workload, seed 5, pinned by sha256 prefixes."""
+    config = ExperimentConfig(adversary, protocol, initial, [n], [5], rounds, stop_at_sentinel=stop)
+    result = run_cell(config, n, 5, keep_result=True).result
+    completion = sorted(result.per_node_completion.items())
+    assert result.rounds_executed == executed
+    assert len(completion) == completed
+    assert tuple(
+        hashlib.sha256(json.dumps(value).encode()).hexdigest()[:16]
+        for value in (completion, result.per_round_new_arrivals)
+    ) == digests

@@ -308,6 +308,38 @@ def test_plans_always_valid(n, seed, name):
     validate_plan(plan, snap, state)
 
 
+def reference_rand_diff(state, snapshot, rng):
+    """rand-diff from token sets: ascending directed edges, a uniform
+    `rng.choice` over the sorted difference, no draw for a single token."""
+    plan = []
+    for u, v in sorted(pair for a, b in snapshot.edges for pair in ((a, b), (b, a))):
+        diff = sorted(state.tokens(u) - state.tokens(v))
+        if diff:
+            plan.append((u, v, diff[0] if len(diff) == 1 else rng.choice(diff)))
+    return plan
+
+
+@given(st.integers(2, 40), st.integers(1, 4), st.integers(0, 2**32), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_rand_diff_step_matches_choice_over_sorted_difference(n, distinct, seed, line):
+    """Nodes draw their holdings from a few shared sets, so many edges join
+    equal sets; the plan and the rng stream match the set-based reference."""
+    rng = derive_rng("equal-rows", seed)
+    size = rng.randrange(1, 3 * n)
+    pool = [[t for t in range(size) if rng.random() < 0.6] for _ in range(distinct)]
+    state = TokenState(n, TokenUniverse(size, size), {v: rng.choice(pool) for v in range(n)})
+    order = list(range(n))
+    rng.shuffle(order)
+    if line:
+        snap = NetworkSnapshot.line(n, order)
+    else:
+        extra = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(n)}
+        snap = NetworkSnapshot(n, set(zip(order, order[1:])) | extra)
+    ours, ref = derive_rng("draw", seed), derive_rng("draw", seed)
+    assert rand_diff_step(state, snap, ours) == reference_rand_diff(state, snap, ref)
+    assert ours.random() == ref.random()  # the streams stay in step
+
+
 class TestInformationDiscipline:
     def test_rand_diff_chi_square_uniform_at_fixed_state(self):
         # conditional on the difference set, each token wins equally often
