@@ -740,10 +740,7 @@ class EngineRun:
         self.per_round_new_arrivals: list[int] = []
         self.per_node_completion: dict[int, int] = {}
         self._complete_nodes = 0
-        for v in range(state.n):
-            if state.node_complete(v):
-                self.per_node_completion[v] = 0
-                self._complete_nodes += 1
+        self._note_completions(range(state.n), 0)
         # Round-0 insertions land before the first round with arrival time 0.
         self._note_completions(
             [node for node, mask in schedule.insertions_at(0) if state.add_mask(node, mask, 0)], 0

@@ -450,7 +450,7 @@ def token_collections(draw):
         tokens = [t for t in range(width) if rng.random() < density]
         tokens += rng.sample(tokens, len(tokens) // 3)  # repeats
         rng.shuffle(tokens)
-    shape = draw(st.sampled_from([list, set, iter]))
+    shape = draw(st.sampled_from([lambda tokens: tokens, set, iter]))
     return shape(tokens), sorted(set(tokens))
 
 
