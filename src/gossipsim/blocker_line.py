@@ -111,33 +111,6 @@ def blocker_partition(params: BlockerLineParams) -> list[list[int]]:
     return [list(range(g * m, (g + 1) * m)) for g in range(m)]
 
 
-class _LineLayout:
-    """Mutable line bookkeeping for the blocker-line trajectory.
-
-    The line is left + [0] + right.  `left` is ordered far-to-near (the most
-    recently retired inner node sits adjacent to node 0), `right` near-to-far
-    (index 0 is node 0's right neighbor).
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.left: list[int] = []
-        self.right: list[int] = list(range(1, n))
-
-    def order(self) -> list[int]:
-        return self.left + [0] + self.right
-
-    def shift(self, interval: list[int], inner_width: int) -> None:
-        """Retire the interval's inner nodes leftward, exile the rest to the
-        far right end, and let the next interval front node 0."""
-        width = len(interval)
-        assert self.right[:width] == interval
-        inner = interval[:inner_width]
-        outer = interval[inner_width:]
-        self.left = self.left + list(reversed(inner))
-        self.right = self.right[width:] + outer
-
-
 @dataclass
 class _Segment:
     phase: int
@@ -147,18 +120,26 @@ class _Segment:
 
 
 def _trajectory(params: BlockerLineParams) -> tuple[list[_Segment], list[list[int]]]:
-    """Segments in round order, and the right line after each phase."""
-    layout = _LineLayout(params.n)
+    """Segments in round order, and the right line after each phase.
+
+    The line is left + [0] + right.  `left` is ordered far-to-near (the most
+    recently retired inner node sits next to node 0), `right` near-to-far
+    (index 0 is node 0's right neighbour).  After each segment the interval's
+    inner nodes retire leftward, the rest are exiled to the far right end,
+    and the next interval fronts node 0.
+    """
+    left: list[int] = []
+    right = list(range(1, params.n))
     width = 2 * params.sqrt_n
     segments: list[_Segment] = []
     right_lines: list[list[int]] = []
     for phase in range(1, params.phases + 1):
-        right = layout.right
         intervals = [right[j * width : (j + 1) * width] for j in range(params.segments_per_phase)]
         for j, interval in enumerate(intervals, start=1):
-            segments.append(_Segment(phase, j, interval, node_array(params.n, layout.order())))
-            layout.shift(interval, params.inner_width)
-        right_lines.append(list(layout.right))
+            segments.append(_Segment(phase, j, interval, node_array(params.n, left + [0] + right)))
+            left += reversed(interval[: params.inner_width])
+            right = right[width:] + interval[params.inner_width :]
+        right_lines.append(list(right))
     return segments, right_lines
 
 

@@ -20,6 +20,7 @@ from .core import (
     RoundBudgetExhausted,
     Send,
     SimulationResult,
+    bfs_distances,
     mask_tokens,
     token_mask,
 )
@@ -71,26 +72,6 @@ class ItemPool:
 
     def underlying_tokens(self) -> set[int]:
         return {it.token for it in self.items if it.token is not None}
-
-
-def _bfs_distances(snapshot: NetworkSnapshot, sources: Sequence[int]) -> list[int]:
-    n = snapshot.n
-    inf = n + 1
-    dist = [inf] * n
-    frontier = sorted(set(sources))
-    for s in frontier:
-        dist[s] = 0
-    adj = snapshot.adjacency
-    while frontier:
-        nxt = []
-        for u in frontier:
-            du = dist[u] + 1
-            for v in adj[u]:
-                if dist[v] > du:
-                    dist[v] = du
-                    nxt.append(v)
-        frontier = sorted(nxt)
-    return dist
 
 
 def _shortest_path(snapshot: NetworkSnapshot, dist: list[int], target: int) -> list[int]:
@@ -167,7 +148,7 @@ def load_balance(
             sources = sorted(queues)
             if not sources:
                 break  # unreachable: placed < total implies items somewhere
-        dist = _bfs_distances(snapshot, sources)
+        dist = bfs_distances(snapshot, sources)
         target = min(candidates, key=lambda v: (dist[v], v))
         path = _shortest_path(snapshot, dist, target)
 
@@ -310,7 +291,8 @@ def n_broadcast(
                 remaining = non_full()
                 if not remaining:
                     break
-                full = [v for v in range(n) if v not in set(remaining)]
+                remaining_set = set(remaining)
+                full = [v for v in range(n) if v not in remaining_set]
                 rng = run.subsystem_rng("n-broadcast", "ranks", lb_counter)
                 lb_counter += 1
                 pool = ItemPool(ordered, rng)

@@ -50,9 +50,8 @@ def _cmd_validate(args) -> int:
     except ValueError as exc:
         print(f"REJECT: {exc}")
         return 1
-    problems = schedule.validate()
-    if not problems and args.paths:
-        problems = _paths_problems(schedule, default_metadata_path(args.schedule))
+    # The reader has checked every round; only the path family is left.
+    problems = _paths_problems(schedule, default_metadata_path(args.schedule)) if args.paths else []
     if problems:
         print(f"REJECT: {problems[0]}")
         return 1

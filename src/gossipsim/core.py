@@ -188,6 +188,27 @@ class SnapshotCheck:
         return self.ok
 
 
+def bfs_distances(snapshot: NetworkSnapshot, sources: Iterable[int]) -> list[int]:
+    """Hop distance from the nearest source to every node; n + 1 marks a node
+    no source reaches."""
+    n = snapshot.n
+    dist = [n + 1] * n
+    frontier = list(set(sources))
+    for s in frontier:
+        dist[s] = 0
+    adj = snapshot.adjacency
+    while frontier:
+        nxt = []
+        for u in frontier:
+            du = dist[u] + 1
+            for v in adj[u]:
+                if dist[v] > du:
+                    dist[v] = du
+                    nxt.append(v)
+        frontier = nxt
+    return dist
+
+
 def validate_snapshot(snapshot: NetworkSnapshot) -> SnapshotCheck:
     """Accept iff the graph is simple, loop-free, in-range, and connected.
 
@@ -202,25 +223,9 @@ def validate_snapshot(snapshot: NetworkSnapshot) -> SnapshotCheck:
             return SnapshotCheck(False, "self-loop", (u, v))
         if not (0 <= u < n and 0 <= v < n):
             return SnapshotCheck(False, "node-out-of-range", (u, v))
-    if n == 1:
-        return SnapshotCheck(True)
-    # BFS connectivity from node 0; witness is the unreachable component.
-    adj = snapshot.adjacency
-    seen = bytearray(n)
-    seen[0] = 1
-    frontier = [0]
-    count = 1
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = 1
-                    count += 1
-                    nxt.append(v)
-        frontier = nxt
-    if count != n:
-        unreachable = [v for v in range(n) if not seen[v]]
+    # Connectivity from node 0; the witness is the unreachable nodes.
+    unreachable = [v for v, d in enumerate(bfs_distances(snapshot, [0])) if d > n]
+    if unreachable:
         return SnapshotCheck(False, "disconnected", unreachable)
     return SnapshotCheck(True)
 
@@ -704,7 +709,6 @@ class SimulationResult:
     rounds_executed: int
     per_round_new_arrivals: list[int]
     per_node_completion: dict[int, int]
-    rng_seed: int
     final_state: TokenState
     stopped_early: bool = False
 
@@ -723,7 +727,6 @@ class EngineRun:
         state: TokenState,
         seed: int,
         max_rounds: int,
-        validate: bool = False,
     ):
         if schedule.horizon < max_rounds and not schedule.cyclic_extendable:
             raise ScheduleError(
@@ -736,7 +739,6 @@ class EngineRun:
         self.state = state
         self.seed = seed
         self.max_rounds = max_rounds
-        self.validate = validate
         self.per_round_new_arrivals: list[int] = []
         self.per_node_completion: dict[int, int] = {}
         self._complete_nodes = 0
@@ -793,10 +795,6 @@ class EngineRun:
         if t > self.max_rounds:
             raise RoundBudgetExhausted(f"round budget {self.max_rounds} exhausted")
         snapshot = self.schedule.snapshot_at(t)
-        if self.validate:
-            check = validate_snapshot(snapshot)
-            if not check:
-                raise ScheduleError(f"round {t}: invalid snapshot: {check.reason}")
         state = self.state
         validate_plan(plan, snapshot, state)
         new_arrivals = state._add_sends(plan, t)
@@ -821,7 +819,6 @@ class EngineRun:
             rounds_executed=self.rounds_executed,
             per_round_new_arrivals=list(self.per_round_new_arrivals),
             per_node_completion=dict(self.per_node_completion),
-            rng_seed=self.seed,
             final_state=self.state,
             stopped_early=stopped_early,
         )
@@ -836,7 +833,6 @@ def run_simulation(
     initial: TokenState,
     max_rounds: int,
     seed: int,
-    validate: bool = False,
     stop_when: StopHook | None = None,
 ) -> SimulationResult:
     """Run a per-round protocol against a schedule.
@@ -850,7 +846,7 @@ def run_simulation(
     `stop_when(state, round, new_arrivals)` may end the run early (used for
     sentinel-arrival measurements); the result is then marked stopped_early.
     """
-    run = EngineRun(schedule, initial, seed, max_rounds, validate=validate)
+    run = EngineRun(schedule, initial, seed, max_rounds)
     stopped = False
     while not run.complete() and not run.exhausted():
         snapshot = run.current_snapshot()

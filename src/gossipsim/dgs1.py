@@ -92,10 +92,7 @@ def schedule_from_text(text: str) -> AdversarySchedule:
         if current_round is None:
             return
         if current_round >= 1:
-            snap = NetworkSnapshot(n, edges)
-            if len(snap.edges) != len(edges):
-                raise Dgs1Error(f"duplicate edge in round {current_round}", line_no)
-            check = validate_snapshot(snap)
+            check = validate_snapshot(NetworkSnapshot(n, edges))
             if not check:
                 raise Dgs1Error(
                     f"round {current_round}: {check.reason} (witness {check.witness})",

@@ -325,10 +325,19 @@ def _central_params(protocol_spec: dict) -> CentralParams:
     return CentralParams(**fields)
 
 
-def _cell_task(payload):
+def _cell_task(payload) -> dict:
+    """One cell's CSV row, from a picklable (raw config, n, seed) payload."""
     raw, n, seed = payload
     cell = run_cell(ExperimentConfig.from_dict(raw), n, seed)
-    return (n, seed, cell.completion_round, cell.sentinel_round, cell.wall_time_ms, cell.timed_out)
+    return {
+        "n": n,
+        "seed": seed,
+        "adversary": raw["adversary"]["name"],
+        "protocol": raw["protocol"]["name"],
+        "completion_round": "TIMEOUT" if cell.timed_out else cell.completion_round,
+        "sentinel_round": "" if cell.sentinel_round is None else cell.sentinel_round,
+        "wall_time_ms": f"{cell.wall_time_ms:.3f}",
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -345,48 +354,23 @@ def worker_count() -> int:
 def run_experiment(config: ExperimentConfig) -> list[dict]:
     """Run the full (n, seed) grid; returns rows and writes CSV when
     config.out is set.  Identical configs produce identical data columns."""
-    cells = [(n, seed) for n in config.n_list for seed in config.seeds]
+    raw = config.to_dict()
+    cells = sorted((n, seed) for n in config.n_list for seed in config.seeds)
+    payloads = [(raw, n, seed) for n, seed in cells]
     workers = worker_count()
-    results = {}
-    if workers > 1 and len(cells) > 1:
+    if workers > 1 and len(payloads) > 1:
         import multiprocessing
 
-        raw = config.to_dict()
         with multiprocessing.Pool(workers) as pool:
-            for n, seed, comp, sent, wall, timed in pool.map(
-                _cell_task, [(raw, n, seed) for n, seed in cells]
-            ):
-                results[(n, seed)] = (comp, sent, wall, timed)
+            rows = pool.map(_cell_task, payloads)
     else:
-        for n, seed in cells:
-            cell = run_cell(config, n, seed)
-            results[(n, seed)] = (
-                cell.completion_round,
-                cell.sentinel_round,
-                cell.wall_time_ms,
-                cell.timed_out,
-            )
-
-    rows = []
-    for n, seed in sorted(cells):
-        comp, sent, wall, timed = results[(n, seed)]
-        rows.append(
-            {
-                "n": n,
-                "seed": seed,
-                "adversary": config.adversary["name"],
-                "protocol": config.protocol["name"],
-                "completion_round": "TIMEOUT" if timed else comp,
-                "sentinel_round": "" if sent is None else sent,
-                "wall_time_ms": f"{wall:.3f}",
-            }
-        )
+        rows = list(map(_cell_task, payloads))
     if config.out:
         write_rows(config.out, rows)
         meta_path = Path(config.out + ".meta.json")
         meta_path.write_text(
             json.dumps(
-                {"config_hash": config.content_hash(), "config": config.to_dict()},
+                {"config_hash": config.content_hash(), "config": raw},
                 indent=2,
                 sort_keys=True,
             )
@@ -398,9 +382,7 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
 
 def write_rows(path: str | Path, rows: list[dict]) -> None:
     with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_HEADER)
-        writer.writeheader()
-        writer.writerows(rows)
+        fh.write(rows_to_csv_text(rows))
 
 
 def rows_to_csv_text(rows: list[dict]) -> str:

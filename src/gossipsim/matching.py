@@ -70,21 +70,10 @@ def max_bipartite_matching(instance: BipartiteInstance) -> set[tuple[int, int]]:
 
 
 def exchange_instance(
-    state: TokenState,
-    snapshot: NetworkSnapshot,
-    node: int,
-    token_filter: Iterable[int] | None = None,
+    state: TokenState, snapshot: NetworkSnapshot, node: int, allowed: int = -1
 ) -> BipartiteInstance:
-    """Build the matching instance for one receiver, optionally restricted to
-    a token subset (e.g. the current reduction group)."""
-    allowed = -1 if token_filter is None else token_mask(token_filter)
-    return _exchange_instance(state, snapshot, node, allowed)
-
-
-def _exchange_instance(
-    state: TokenState, snapshot: NetworkSnapshot, node: int, allowed: int
-) -> BipartiteInstance:
-    """`exchange_instance` for a token bitset `allowed` (-1 allows all)."""
+    """Build the matching instance for one receiver, restricted to the token
+    bitset `allowed` (e.g. the current reduction group; -1 allows all)."""
     neighbors = snapshot.adjacency[node]
     holdings = state.holdings
     lacking = allowed ^ (allowed & holdings[node])
@@ -112,7 +101,7 @@ def greedy_exchange_round(
     allowed = -1 if token_filter is None else token_mask(token_filter)
     plan: list[Send] = []
     for v in range(state.n):
-        instance = _exchange_instance(state, snapshot, v, allowed)
+        instance = exchange_instance(state, snapshot, v, allowed)
         if not instance.right:
             continue
         for u, tok in sorted(max_bipartite_matching(instance)):

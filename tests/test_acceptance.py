@@ -397,12 +397,12 @@ def test_criterion_11_engine_invariant_fuzz():
                 violations.append(("connectivity", spec["name"], t))
         protocol = get_protocol(name)
         state = initial_state({"kind": "single-source"}, n, schedule)
-        run = EngineRun(schedule, state, seed=seed, max_rounds=min(40, schedule.horizon), validate=True)
+        run = EngineRun(schedule, state, seed=seed, max_rounds=min(40, schedule.horizon))
         held = [state.tokens(v) for v in range(n)]
         while not run.complete() and not run.exhausted():
             plan = protocol.plan_round(run.state, run.current_snapshot(), run.round_rng())
             try:
-                run.execute(plan)  # validates plan and snapshot
+                run.execute(plan)  # validates the plan
             except Exception as exc:  # noqa: BLE001 - recorded as violation
                 violations.append(("plan", spec["name"], name, repr(exc)))
                 break
@@ -413,10 +413,11 @@ def test_criterion_11_engine_invariant_fuzz():
             rounds_done += 1
     # centralized schedulers share the same validated execution path
     schedule = build_random_interval_connected(12, 0.2, seed=5, horizon=600)
+    assert schedule.validate() == []
     groups, _ = reduce_k_to_n(12, 12)
     universe = TokenUniverse(12, 12)
     state = TokenState(12, universe, {0: range(12)})
-    run = EngineRun(schedule, state, seed=5, max_rounds=600, validate=True)
+    run = EngineRun(schedule, state, seed=5, max_rounds=600)
     outcome = k_gossip_centralized(run, 12, CentralParams(mode="staged"))
     rounds_done += run.rounds_executed
     if outcome.result.completion_round is None and outcome.stalled is None:

@@ -2,6 +2,7 @@
 
 import hashlib
 import tracemalloc
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from gossipsim.core import (
     ScheduleError,
     TokenState,
     TokenUniverse,
+    bfs_distances,
     derive_rng,
     draw_token,
     mask_tokens,
@@ -377,10 +379,11 @@ def _connect(n, extra_edges):
 def test_monotonicity_and_capacity(graph, seed):
     n, extra = graph
     snap = _connect(n, extra)
+    assert validate_snapshot(snap)
     schedule = AdversarySchedule(n, 6, [snap] * 6, cyclic_extendable=True)
     state = TokenState(n, TokenUniverse(n, n), {v: [v] for v in range(n)})
     held = [state.tokens(v) for v in range(n)]
-    run = EngineRun(schedule, state, seed=seed, max_rounds=6, validate=True)
+    run = EngineRun(schedule, state, seed=seed, max_rounds=6)
     protocol = RandDiff()
     while not run.complete() and not run.exhausted():
         plan = protocol.plan_round(run.state, run.current_snapshot(), run.round_rng())
@@ -699,6 +702,37 @@ def test_line_directed_edges_match_the_sorted_ones(data):
         pair for u, v in generic.edges for pair in ((u, v), (v, u))
     )
     assert line.adjacency == generic.adjacency
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_bfs_distances_match_a_reference_bfs(data):
+    """Hop distance to the nearest of one or more sources on small graphs,
+    disconnected ones included, with n + 1 for a node no source reaches."""
+    n = data.draw(st.integers(1, 12), "n")
+    node = st.integers(0, n - 1)
+    pairs = data.draw(st.lists(st.tuples(node, node), max_size=2 * n), "pairs")
+    snap = NetworkSnapshot(n, [(u, v) for u, v in pairs if u != v])
+    sources = data.draw(st.lists(node, min_size=1, max_size=4), "sources")
+
+    neighbours = [set() for _ in range(n)]
+    for u, v in snap.edges:
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+
+    def reference(source):
+        dist = {source: 0}
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            for v in neighbours[u] - dist.keys():
+                dist[v] = dist[u] + 1
+                queue.append(v)
+        return dist
+
+    per_source = [reference(s) for s in sources]
+    expected = [min(d.get(v, n + 1) for d in per_source) for v in range(n)]
+    assert bfs_distances(snap, sources) == expected
 
 
 @given(connected_graph, st.data())

@@ -102,6 +102,7 @@ LINE3 = "R 1\nE 0 1\nE 1 2\n"
         ("DGS1 3 1 sideways\n", "unknown mode 'sideways'", 1),
         (H3 + "R 1\nE 0 1\n", "round 1: disconnected (witness [2])", 3),
         (H3 + "R 1\nE 0 3\nE 1 2\n", "round 1: node-out-of-range (witness (0, 3))", 4),
+        (H3 + "R 1\nE -1 0\nE 0 1\nE 1 2\n", "round 1: node-out-of-range (witness (-1, 0))", 5),
         (H3 + LINE3 + "\n", "blank line", 5),
         (H3 + "R 1 2\n", "malformed round line", 2),
         (H3 + "R 2\n", "first round block must be 0 or 1, got 2", 2),
@@ -109,6 +110,7 @@ LINE3 = "R 1\nE 0 1\nE 1 2\n"
         (H3 + "E 0 1\n", "edge line outside round block or malformed", 2),
         (H3 + "R 1\nE 0 1 2\n", "edge line outside round block or malformed", 3),
         (H3 + "R 1\nE 1 0\n", "edge (1, 0) not in u < v form", 3),
+        (H3 + "R 1\nE 1 1\n", "edge (1, 1) not in u < v form", 3),
         (H3 + "R 1\nE 1 2\nE 1 2\n", "edge (1, 2) out of order", 4),
         (I3 + "R 1\nE 0 1\nI 0 0\nE 1 2\n", "edge line after insertion lines", 5),
         (I3 + "R 0\nE 0 1\n", "round 0 may not contain edges", 3),
