@@ -293,19 +293,6 @@ class RoundSource:
         return cls(lambda t: 0, lambda key: snapshot)
 
     @classmethod
-    def edge_arrays(
-        cls, n: int, us: Sequence[int], vs: Sequence[int], ends: Sequence[int]
-    ) -> "RoundSource":
-        """Round t's edges are `zip(us[a:b], vs[a:b])` with a, b = `ends[t-1]`,
-        `ends[t]`: every round kept as endpoint arrays, built one at a time."""
-
-        def build(t: int) -> NetworkSnapshot:
-            a, b = ends[t - 1], ends[t]
-            return NetworkSnapshot(n, zip(us[a:b], vs[a:b]))
-
-        return cls(lambda t: t, build)
-
-    @classmethod
     def lines(cls, n: int, orders: Sequence[Sequence[int]], span: int) -> "RoundSource":
         """Round t is the path graph along `orders[(t-1) // span]`."""
         return cls(lambda t: (t - 1) // span, lambda k: NetworkSnapshot.line(n, orders[k]))

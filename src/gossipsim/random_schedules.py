@@ -6,15 +6,17 @@ probability.  Connectivity per round holds by construction.
 
 Draw contract: one `random.Random` stream per (seed, n), consumed round by
 round; the horizon is not part of the key, so a schedule is a prefix of any
-longer one with the same (seed, n, p).  A round draws its tree first, then its
-extra edges by geometric skipping over the u < v pairs in row-major order
-(Batagelj & Brandes, Phys. Rev. E 71, 036113, 2005): O(n + p n^2) draws per
-round instead of one Bernoulli draw per pair.  At p = 1 every round is the
-complete graph and nothing is drawn.
+longer one with the same (seed, n, p).  A round draws its tree first, one
+`_randbelow(n - 1)` per walk step, then its extra edges by geometric skipping
+over the u < v pairs in row-major order (Batagelj & Brandes, Phys. Rev. E 71,
+036113, 2005): O(n + p n^2) draws per round instead of one Bernoulli draw per
+pair.  At p = 1 every round is the complete graph and nothing is drawn.
 
 Every round is drawn when the schedule is built, so drawing costs nothing
-inside a run; the rounds are stored as endpoint arrays and a round's graph
-is built only when a run or a consumer asks for it.
+inside a run.  A round is kept as its tree's n - 1 parents and its extra
+pairs' row-major indices.  Its graph, tree edges first, is built when a run
+or a consumer asks for it, from the schedule's n(n-1)/2 edge tuples (about
+75 bytes a pair: 145 KB at n = 64).
 """
 
 from __future__ import annotations
@@ -22,8 +24,38 @@ from __future__ import annotations
 import math
 import random
 from array import array
+from itertools import chain
 
 from .core import AdversarySchedule, Edge, NetworkSnapshot, RoundSource, derive_rng, node_array
+
+
+def _tree_parents(n: int, rng: random.Random) -> list[int]:
+    """Node v's parent in a uniform labeled spanning tree rooted at 0
+    (parent[0] = -1), by Wilson's loop-erased random walks.
+
+    A walk step is `rng._randbelow(n - 1)`, inlined as its getrandbits
+    rejection loop so the stream stays the same.
+    """
+    getrandbits = rng.getrandbits
+    last = n - 1
+    bits = last.bit_length()
+    in_tree, parent = [True] + [False] * last, [-1] * n
+    for start in range(1, n):
+        u = start
+        # Random walk recording successors; loops are erased implicitly
+        # because parent[u] is overwritten on revisits.
+        while not in_tree[u]:
+            nxt = getrandbits(bits)
+            while nxt >= last:
+                nxt = getrandbits(bits)
+            if nxt >= u:
+                nxt += 1
+            parent[u] = nxt
+            u = nxt
+        u = start
+        while not in_tree[u]:
+            in_tree[u], u = True, parent[u]
+    return parent
 
 
 def random_spanning_tree(n: int, rng: random.Random) -> list[Edge]:
@@ -32,54 +64,26 @@ def random_spanning_tree(n: int, rng: random.Random) -> list[Edge]:
     On the complete graph Wilson's walk from each unattached vertex hits the
     tree quickly, so the expected cost is near-linear.  Edges are canonical.
     """
-    if n == 1:
-        return []
-    randbelow = rng._randbelow  # the stream of rng.randrange(n - 1)
-    last = n - 1
-    in_tree = [False] * n
-    parent = [-1] * n
-    in_tree[0] = True
-    for start in range(1, n):
-        if in_tree[start]:
-            continue
-        u = start
-        # Random walk recording successors; loops are erased implicitly
-        # because parent[u] is overwritten on revisits.
-        while not in_tree[u]:
-            nxt = randbelow(last)
-            if nxt >= u:
-                nxt += 1
-            parent[u] = nxt
-            u = nxt
-        u = start
-        while not in_tree[u]:
-            in_tree[u] = True
-            u = parent[u]
+    parent = _tree_parents(n, rng)
     return [(v, p) if v < p else (p, v) for v, p in enumerate(parent) if p >= 0]
 
 
-def _extra_edges(n: int, log_q: float, rng: random.Random, us, vs) -> None:
-    """Append each u < v pair independently with probability p to the
-    endpoint arrays `us`, `vs`; log_q = log(1 - p).
+def _extra_edges(pairs: int, log_q: float, rng: random.Random, out: array) -> None:
+    """Append the index of each of the `pairs` u < v pairs, chosen
+    independently with probability p, to `out`; log_q = log(1 - p).
 
     The gap to the next chosen pair in row-major order is geometric,
-    int(log(1 - U) / log(1 - p)) + 1, so only chosen pairs cost a draw.
+    int(log(1 - U) / log(1 - p)) + 1, so only chosen pairs cost a draw.  The
+    quotient is never negative, so `floor` truncates it as `int` would.
     """
-    rand = rng.random
-    log = math.log
-    add_u, add_v = us.append, vs.append
-    u, v = 0, 0  # (0, 0) sits just before the first pair (0, 1)
-    last_row = n - 2
+    rand, add = rng.random, out.append
+    log, floor = math.log, math.floor
+    k = -1  # just before the first pair (0, 1)
     while True:
-        v += int(log(1.0 - rand()) / log_q) + 1
-        # Carry the overshoot into the following rows; row u holds n - u - 1 pairs.
-        while v >= n:
-            if u == last_row:
-                return
-            u += 1
-            v -= n - u - 1
-        add_u(u)
-        add_v(v)
+        k += floor(log(1.0 - rand()) / log_q) + 1
+        if k >= pairs:
+            return
+        add(k)
 
 
 def build_random_interval_connected(
@@ -91,24 +95,30 @@ def build_random_interval_connected(
     if not (0.0 <= extra_edge_prob <= 1.0):
         raise ValueError("extra_edge_prob must be in [0, 1]")
     rng = derive_rng(seed, "random-interval", n)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]  # row-major
     if extra_edge_prob >= 1.0:
-        rounds = RoundSource.static(
-            NetworkSnapshot(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-        )
+        rounds = RoundSource.static(NetworkSnapshot(n, pairs))
     else:
-        # Every round is drawn now; round t's edges are us/vs[ends[t-1]:ends[t]],
-        # the tree's first, then the extra pairs (a pair may appear twice).
-        us, vs = node_array(n), node_array(n)
-        ends = array("Q", [0])
+        # Round t's tree is parents[(t-1)(n-1):t(n-1)], the parents of nodes
+        # 1..n-1, and its extra pairs' indices are extra[ends[t-1]:ends[t]].
+        parents, extra, ends = node_array(n), node_array(len(pairs)), array("Q", [0])
         log_q = math.log1p(-extra_edge_prob) if extra_edge_prob > 0.0 else 0.0
         for _ in range(horizon):
-            for u, v in random_spanning_tree(n, rng):
-                us.append(u)
-                vs.append(v)
+            parents.extend(_tree_parents(n, rng)[1:])
             if log_q:
-                _extra_edges(n, log_q, rng, us, vs)
-            ends.append(len(us))
-        rounds = RoundSource.edge_arrays(n, us, vs, ends)
+                _extra_edges(len(pairs), log_q, rng, extra)
+            ends.append(len(extra))
+        edge = [[None] * n for _ in range(n)]  # [v][w]: pairs' tuple, shared by the trees
+        for e in pairs:
+            edge[e[0]][e[1]] = edge[e[1]][e[0]] = e
+        tree_rows, row_item, pair_of = edge[1:], list.__getitem__, pairs.__getitem__
+
+        def build(t: int) -> NetworkSnapshot:
+            a = (t - 1) * (n - 1)
+            tree = map(row_item, tree_rows, parents[a : a + n - 1])
+            return NetworkSnapshot(n, chain(tree, map(pair_of, extra[ends[t - 1] : ends[t]])))
+
+        rounds = RoundSource(lambda t: t, build)
     return AdversarySchedule(
         n=n,
         horizon=horizon,

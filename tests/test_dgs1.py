@@ -66,6 +66,18 @@ class TestFormat:
             schedule_from_text(text)
         assert "disconnected" in str(err.value)
 
+    def test_disconnected_round_is_written_and_rejected_on_read(self):
+        """Export does not check rounds; the reader does, once, where the file
+        enters."""
+        connected = NetworkSnapshot(3, [(0, 1), (1, 2)])
+        schedule = AdversarySchedule(3, 2, [connected, NetworkSnapshot(3, [(0, 1)])])
+        text = schedule_to_text(schedule)
+        assert text.endswith("R 2\nE 0 1\n")
+        with pytest.raises(Dgs1Error) as err:
+            schedule_from_text(text)
+        assert err.value.line == 6
+        assert "round 2: disconnected (witness [2])" in str(err.value)
+
     def test_unsorted_edges_rejected(self):
         text = "DGS1 3 1 oblivious\nR 1\nE 1 2\nE 0 1\n"
         with pytest.raises(Dgs1Error):

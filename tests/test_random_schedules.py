@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+import math
 import tracemalloc
 from itertools import combinations
 
+import pytest
 from scipy import stats
 
-from gossipsim.core import derive_rng, validate_snapshot
+from gossipsim.core import NetworkSnapshot, derive_rng, validate_snapshot
 from gossipsim.harness import build_schedule
 from gossipsim.random_schedules import build_random_interval_connected, random_spanning_tree
 
@@ -42,7 +44,45 @@ def spanning_trees_of_k4():
     return trees
 
 
+def reference_spanning_tree(n, rng):
+    """Wilson's walks drawing each step with `rng._randbelow(n - 1)`."""
+    in_tree, parent = [True] + [False] * (n - 1), [-1] * n
+    for start in range(1, n):
+        u = start
+        while not in_tree[u]:
+            nxt = rng._randbelow(n - 1)
+            nxt += nxt >= u
+            parent[u], u = nxt, nxt
+        u = start
+        while not in_tree[u]:
+            in_tree[u], u = True, parent[u]
+    return [(v, p) if v < p else (p, v) for v, p in enumerate(parent) if p >= 0]
+
+
+def reference_extra_edges(n, log_q, rng):
+    """The extra pairs by geometric skipping, walked row by row with the
+    overshoot carried into the following rows."""
+    edges, u, v = [], 0, 0  # (0, 0) sits just before the first pair (0, 1)
+    while True:
+        v += int(math.log(1.0 - rng.random()) / log_q) + 1
+        while v >= n:  # row u holds n - u - 1 pairs
+            if u == n - 2:
+                return edges
+            u += 1
+            v -= n - u - 1
+        edges.append((u, v))
+
+
 class TestSpanningTree:
+    @pytest.mark.parametrize("n", [2, 3, 16, 65])
+    def test_tree_draw_is_randbelow(self, n):
+        """The inlined walk step consumes the stream of `_randbelow(n - 1)`:
+        the same trees, and the next draw agrees."""
+        rng, ref = derive_rng("tree-stream", n), derive_rng("tree-stream", n)
+        for _ in range(20):
+            assert random_spanning_tree(n, rng) == reference_spanning_tree(n, ref)
+        assert rng.random() == ref.random()
+
     def test_cayley_count(self):
         assert len(spanning_trees_of_k4()) == 16
 
@@ -165,3 +205,25 @@ class TestLaw:
         assert hashlib.sha256(payload).hexdigest() == (
             "14d9da11e7f9e6299e41c6503e9ec0adb7efd25300d352b3138f12437005f66e"
         )
+
+    def test_draw_contract_pinned_at_benchmark_size(self):
+        """The same pin at the kgossip-random benchmark's n and p, where the
+        extra-edge pair indices need two bytes."""
+        schedule = build_random_interval_connected(64, 0.1, seed=1, horizon=64)
+        payload = json.dumps([sorted(s.edges) for s in snapshots(schedule)]).encode()
+        assert hashlib.sha256(payload).hexdigest() == (
+            "4cda94f6e55e65f785fd47611baa0b595ebae18a1e86680ec65b3020fe846354"
+        )
+
+    @pytest.mark.parametrize("n", [2, 3, 23, 24, 64])
+    @pytest.mark.parametrize("p", [1e-9, 0.1, 0.5, 0.999])
+    def test_rounds_match_row_walk(self, n, p):
+        """Every round is its tree and then the extra pairs of the row-by-row
+        walk, in that order, on the same stream.  n = 23 and 24 sit on both
+        sides of one-byte pair indices (253 and 276 pairs)."""
+        schedule = build_random_interval_connected(n, p, seed=3, horizon=40)
+        rng, log_q = derive_rng(3, "random-interval", n), math.log1p(-p)
+        for snap in snapshots(schedule):
+            tree = random_spanning_tree(n, rng)
+            expected = NetworkSnapshot(n, tree + reference_extra_edges(n, log_q, rng))
+            assert list(snap.edges) == list(expected.edges)
