@@ -73,7 +73,7 @@ def _paths_problems(schedule, sidecar: Path) -> list[str]:
     if infra.n != schedule.n:
         return [f"sidecar n={infra.n} differs from the schedule's n={schedule.n}"]
     report = validate_paths_respecting(schedule, infra, systems)
-    return [] if report.ok else [f"{report.reason} {report.violation}"]
+    return [] if report.ok else [f"{report.reason} {report.witness}"]
 
 
 def _cmd_run(args) -> int:

@@ -179,7 +179,10 @@ def node_array(n: int, values: Iterable[int] = ()) -> array:
 
 
 @dataclass
-class SnapshotCheck:
+class Check:
+    """A validator's verdict: rejection names the first violated property
+    and carries a witness."""
+
     ok: bool
     reason: str | None = None
     witness: object = None
@@ -209,7 +212,7 @@ def bfs_distances(snapshot: NetworkSnapshot, sources: Iterable[int]) -> list[int
     return dist
 
 
-def validate_snapshot(snapshot: NetworkSnapshot) -> SnapshotCheck:
+def validate_snapshot(snapshot: NetworkSnapshot) -> Check:
     """Accept iff the graph is simple, loop-free, in-range, and connected.
 
     Rejection is a value naming the first violated property and a witness,
@@ -217,17 +220,17 @@ def validate_snapshot(snapshot: NetworkSnapshot) -> SnapshotCheck:
     """
     n = snapshot.n
     if n < 1:
-        return SnapshotCheck(False, "empty-node-set", n)
+        return Check(False, "empty-node-set", n)
     for u, v in snapshot.edges:
         if u == v:
-            return SnapshotCheck(False, "self-loop", (u, v))
+            return Check(False, "self-loop", (u, v))
         if not (0 <= u < n and 0 <= v < n):
-            return SnapshotCheck(False, "node-out-of-range", (u, v))
+            return Check(False, "node-out-of-range", (u, v))
     # Connectivity from node 0; the witness is the unreachable nodes.
     unreachable = [v for v, d in enumerate(bfs_distances(snapshot, [0])) if d > n]
     if unreachable:
-        return SnapshotCheck(False, "disconnected", unreachable)
-    return SnapshotCheck(True)
+        return Check(False, "disconnected", unreachable)
+    return Check(True)
 
 
 # ---------------------------------------------------------------------------

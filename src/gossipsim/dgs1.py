@@ -86,6 +86,7 @@ def schedule_from_text(text: str) -> AdversarySchedule:
     round_inserts: list[tuple[int, int]] = []  # (node, mask), ascending nodes
 
     def close_round(line_no: int) -> None:
+        """Check and store the open round, whose last line is `line_no`."""
         nonlocal edges, round_inserts
         if current_round is None:
             return
@@ -116,7 +117,7 @@ def schedule_from_text(text: str) -> AdversarySchedule:
         if kind == "R":
             if len(parts) != 2:
                 raise Dgs1Error("malformed round line", line_no)
-            close_round(line_no)
+            close_round(line_no - 1)
             t = int(parts[1])
             if current_round is None:
                 if t not in (0, 1):

@@ -28,22 +28,16 @@ class BipartiteInstance:
     right: tuple[int, ...]
     adjacency: frozenset[tuple[int, int]]
 
-    def validate(self) -> None:
-        left = set(self.left)
-        right = set(self.right)
-        for u, tok in self.adjacency:
-            if u not in left or tok not in right:
-                raise ValueError(f"adjacency pair ({u}, {tok}) outside instance")
-
 
 def max_bipartite_matching(instance: BipartiteInstance) -> set[tuple[int, int]]:
     """Maximum-cardinality matching as a set of (sender, token) pairs.
 
     Augmenting-path search seeded in ascending token order with ascending
     sender preference, so ties among maximum matchings break
-    deterministically.
+    deterministically.  Precondition, not checked: every adjacency pair
+    has its sender in `left` and its token in `right`, as `exchange_instance`
+    builds them.
     """
-    instance.validate()
     senders_of: dict[int, list[int]] = {tok: [] for tok in instance.right}
     for u, tok in instance.adjacency:
         senders_of[tok].append(u)

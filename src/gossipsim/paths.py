@@ -22,6 +22,7 @@ from typing import Callable, Iterable, Mapping
 
 from .core import (
     AdversarySchedule,
+    Check,
     Edge,
     NetworkSnapshot,
     RoundSource,
@@ -33,53 +34,30 @@ from .core import (
 
 @dataclass(frozen=True)
 class PathSystem:
-    """Vertex-disjoint simple paths between one source/destination pair."""
+    """Vertex-disjoint simple paths between one source/destination pair.
+
+    A precondition, not checked here: each path joins source to dest, is
+    simple, runs along infrastructure edges, and shares no interior node
+    with another path.  `path_family` builds its systems that way, and the
+    tests check them.
+    """
 
     source: int
     dest: int
     paths: tuple[tuple[int, ...], ...]
-
-    def edges(self) -> list[frozenset[Edge]]:
-        return [frozenset(canonical_edge(a, b) for a, b in zip(p, p[1:])) for p in self.paths]
-
-    def validate(self, infrastructure: NetworkSnapshot) -> list[str]:
-        problems = []
-        interior_seen: set[int] = set()
-        for path in self.paths:
-            if len(path) < 2 or path[0] != self.source or path[-1] != self.dest:
-                problems.append(f"path {path} does not join {self.source}->{self.dest}")
-                continue
-            if len(set(path)) != len(path):
-                problems.append(f"path {path} is not simple")
-            for a, b in zip(path, path[1:]):
-                if not infrastructure.has_edge(a, b):
-                    problems.append(f"path edge ({a}, {b}) outside infrastructure")
-            interior = set(path[1:-1])
-            overlap = interior & interior_seen
-            if overlap:
-                problems.append(f"paths share interior nodes {sorted(overlap)}")
-            interior_seen |= interior
-        return problems
-
-
-@dataclass
-class PathsReport:
-    ok: bool
-    reason: str | None = None
-    violation: tuple | None = None  # (system index, round, inactive count, budget)
 
 
 def validate_paths_respecting(
     schedule: AdversarySchedule,
     infrastructure: NetworkSnapshot,
     systems: Iterable[PathSystem],
-) -> PathsReport:
+) -> Check:
     """Check every (system, round) pair against the inactive-edge budget.
 
     Rejects outright if some snapshot uses an edge outside the
-    infrastructure; otherwise reports the first malformed system, else the
-    budget violation of the earliest round (lowest system index within it).
-    Makes one pass over `systems`, holding one system's edges at a time;
+    infrastructure; otherwise reports the budget violation of the earliest
+    round (lowest system index within it), with witness (system index,
+    round, inactive count, budget).  Makes one pass over `systems`;
     rounds with the same inactive-edge set are checked once, at the first.
     """
     first_round: dict[frozenset[Edge], int] = {}
@@ -91,34 +69,30 @@ def validate_paths_respecting(
         last = snap
         extra = snap.edges - infrastructure.edges
         if extra:
-            return PathsReport(
-                False, "edge-outside-infrastructure", (t, sorted(extra)[0])
-            )
+            return Check(False, "edge-outside-infrastructure", (t, sorted(extra)[0]))
         inactive = infrastructure.edges - snap.edges
         if inactive:
             first_round.setdefault(inactive, t)
+    largest = max(map(len, first_round), default=0)
     witness = None
     for idx, system in enumerate(systems):
-        problems = system.validate(infrastructure)
-        if problems:
-            return PathsReport(False, "bad-path-system", (idx, problems[0]))
-        budget = len(system.paths) - 1
-        edges = [e for group in system.edges() for e in group]
-        # A set no larger than the budget can exceed it only through an
-        # edge that two paths share (the direct edge, listed twice).
-        skip_up_to = budget if len(set(edges)) == len(edges) else -1
+        paths = system.paths
+        budget = len(paths) - 1
+        # Disjoint paths share an edge only if the direct edge is listed
+        # twice; otherwise no set of at most `budget` edges can break them.
+        if budget >= largest and sum(len(p) == 2 for p in paths) <= 1:
+            continue
+        edges = [(a, b) if a < b else (b, a) for p in paths for a, b in zip(p, p[1:])]
         for inactive, t in first_round.items():  # in round order
             if witness is not None and t >= witness[1]:
                 break
-            if len(inactive) <= skip_up_to:
-                continue
-            count = sum(1 for e in edges if e in inactive)
+            count = sum(map(inactive.__contains__, edges))
             if count > budget:
                 witness = (idx, t, count, budget)
                 break
     if witness is not None:
-        return PathsReport(False, "budget-exceeded", witness)
-    return PathsReport(True)
+        return Check(False, "budget-exceeded", witness)
+    return Check(True)
 
 
 @dataclass(frozen=True)
@@ -214,7 +188,7 @@ def build_ring_failure(
         horizon=horizon,
         rounds=RoundSource(
             lambda t: removed[t - 1],
-            lambda k: infra.without([canonical_edge(k, (k + 1) % n)]),
+            lambda k: infra.without([(k, k + 1) if k + 1 < n else (0, k)]),
         ),
         mode="oblivious",
         metadata=metadata,

@@ -113,6 +113,8 @@ LINE3 = "R 1\nE 0 1\nE 1 2\n"
         ("DGS1 x 1 oblivious\n", "non-integer header fields", 1),
         ("DGS1 3 1 sideways\n", "unknown mode 'sideways'", 1),
         (H3 + "R 1\nE 0 1\n", "round 1: disconnected (witness [2])", 3),
+        # A round closed by the next R line is blamed on its own last line.
+        ("DGS1 3 2 oblivious\nR 1\nE 0 1\nR 2\nE 0 1\nE 1 2\n", "round 1: disconnected (witness [2])", 3),
         (H3 + "R 1\nE 0 3\nE 1 2\n", "round 1: node-out-of-range (witness (0, 3))", 4),
         (H3 + "R 1\nE -1 0\nE 0 1\nE 1 2\n", "round 1: node-out-of-range (witness (-1, 0))", 5),
         (H3 + LINE3 + "\n", "blank line", 5),
@@ -126,6 +128,7 @@ LINE3 = "R 1\nE 0 1\nE 1 2\n"
         (H3 + "R 1\nE 1 2\nE 1 2\n", "edge (1, 2) out of order", 4),
         (I3 + "R 1\nE 0 1\nI 0 0\nE 1 2\n", "edge line after insertion lines", 5),
         (I3 + "R 0\nE 0 1\n", "round 0 may not contain edges", 3),
+        (I3 + "R 0\nE 0 1\n" + LINE3, "round 0 may not contain edges", 3),
         (I3 + "I 0 0\n", "insertion line outside round block or malformed", 2),
         (I3 + LINE3 + "I 1 0\nI 0 0\n", "insertion (0, 0) negative or out of order", 6),
         (I3 + LINE3 + "I 0 -1\n", "insertion (0, -1) negative or out of order", 5),

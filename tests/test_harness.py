@@ -277,6 +277,27 @@ class TestCli:
         assert cli_main(["validate", str(out), "--paths"]) == 1
         assert capsys.readouterr().out == "REJECT: budget-exceeded (0, 3, 1, 0)\n"
 
+    def test_sweep_prints_slope_and_writes_one_row_per_n(self, tmp_path, capsys):
+        base = tmp_path / "sweep"
+        raw = {
+            "adversary": {"name": "static-line"},
+            "protocol": {"name": "rand-diff"},
+            "n": [4, 8, 16],
+            "seeds": [1],
+            "max_rounds": 10_000,
+            "out": str(base),
+        }
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(raw))
+        capsys.readouterr()
+        assert cli_main(["sweep", "--config", str(cfg)]) == 0
+        assert "log-log slope (completion): " in capsys.readouterr().out
+        with open(f"{base}.summary.csv", newline="") as fh:
+            summary = list(csv.DictReader(fh))
+        assert [row["n"] for row in summary] == ["4", "8", "16"]
+        plot = tmp_path.joinpath("sweep.plot.dat").read_text().splitlines()
+        assert [line.split()[0] for line in plot] == ["2.000000", "3.000000", "4.000000"]
+
     @pytest.mark.parametrize(
         "sidecar, reason",
         [

@@ -6,11 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossipsim.core import AdversarySchedule, NetworkSnapshot, canonical_edge, derive_rng, validate_snapshot
+import gossipsim.paths
+from gossipsim.core import (
+    AdversarySchedule,
+    Check,
+    NetworkSnapshot,
+    canonical_edge,
+    derive_rng,
+    validate_snapshot,
+)
 from gossipsim.harness import build_schedule
 from gossipsim.paths import (
     PathSystem,
-    PathsReport,
     build_center_terminal,
     build_ring_failure,
     center_terminal_infrastructure,
@@ -51,25 +58,50 @@ def eager_center_terminal_systems(n, r):
     return systems
 
 
+def path_edges(system):
+    """Every path's canonical edges, one entry per (path, hop)."""
+    return [canonical_edge(a, b) for p in system.paths for a, b in zip(p, p[1:])]
+
+
+def structure_problems(system, infrastructure):
+    """What breaks the precondition the validator trusts: every path joins
+    source to dest, is simple, runs along infrastructure edges, and shares
+    no interior node with another path."""
+    problems = []
+    interior_seen = set()
+    for path in system.paths:
+        if len(path) < 2 or path[0] != system.source or path[-1] != system.dest:
+            problems.append(f"path {path} does not join {system.source}->{system.dest}")
+        if len(set(path)) != len(path):
+            problems.append(f"path {path} is not simple")
+        problems.extend(
+            f"hop ({a}, {b}) outside infrastructure"
+            for a, b in zip(path, path[1:])
+            if not infrastructure.has_edge(a, b)
+        )
+        interior = set(path[1:-1])
+        if interior & interior_seen:
+            problems.append(f"paths share interior nodes {sorted(interior & interior_seen)}")
+        interior_seen |= interior
+    return problems
+
+
 def oracle_report(schedule, infrastructure, systems):
-    """Round-major reference: every round against every system, in order."""
+    """Round-major reference: every round against every system's budget,
+    in order."""
     systems = list(systems)
     for t, snap in enumerate(snapshots(schedule), start=1):
         extra = snap.edges - infrastructure.edges
         if extra:
-            return PathsReport(False, "edge-outside-infrastructure", (t, sorted(extra)[0]))
-    for idx, system in enumerate(systems):
-        problems = system.validate(infrastructure)
-        if problems:
-            return PathsReport(False, "bad-path-system", (idx, problems[0]))
+            return Check(False, "edge-outside-infrastructure", (t, sorted(extra)[0]))
     for t, snap in enumerate(snapshots(schedule), start=1):
         inactive = infrastructure.edges - snap.edges
         for idx, system in enumerate(systems):
-            count = sum(1 for group in system.edges() for e in group if e in inactive)
+            count = sum(1 for e in path_edges(system) if e in inactive)
             budget = len(system.paths) - 1
             if count > budget:
-                return PathsReport(False, "budget-exceeded", (idx, t, count, budget))
-    return PathsReport(True)
+                return Check(False, "budget-exceeded", (idx, t, count, budget))
+    return Check(True)
 
 
 class TestRingFailure:
@@ -110,7 +142,7 @@ class TestRingFailure:
         report = validate_paths_respecting(mutated, infra, systems)
         assert not report.ok
         assert report.reason == "budget-exceeded"
-        _, _, count, budget = report.violation
+        _, _, count, budget = report.witness
         assert count == 2 and budget == 1
 
 
@@ -145,13 +177,7 @@ class TestCenterTerminal:
         for t in range(1, 13):
             inactive = infra.edges - schedule.snapshot_at(t).edges
             for system in systems:
-                count = sum(
-                    1
-                    for group in system.edges()
-                    for e in group
-                    if e in inactive
-                )
-                assert count <= r - 2
+                assert sum(e in inactive for e in path_edges(system)) <= r - 2
 
     def test_precondition(self):
         with pytest.raises(ValueError):
@@ -167,20 +193,12 @@ class TestValidatorRejections:
         assert not report.ok
         assert report.reason == "edge-outside-infrastructure"
 
-    def test_bad_path_system(self):
-        infra = ring_infrastructure(5)
-        schedule = AdversarySchedule(5, 1, [infra])
-        bad = PathSystem(0, 2, ((0, 3, 2),))  # (0,3) not an infrastructure edge
-        report = validate_paths_respecting(schedule, infra, [bad])
-        assert not report.ok
-        assert report.reason == "bad-path-system"
-
-    def test_non_disjoint_paths_rejected(self):
-        infra = center_terminal_infrastructure(8, 3)
-        schedule = AdversarySchedule(8, 1, [infra])
-        overlapping = PathSystem(3, 4, ((3, 0, 4), (3, 0, 4)))
-        report = validate_paths_respecting(schedule, infra, [overlapping])
-        assert not report.ok
+    def test_direct_edge_listed_twice_is_not_skipped(self):
+        # Every inactive set has one edge, within the budget of 1, but the
+        # twice-listed direct edge counts twice.
+        schedule, infra, _ = build_ring_failure(5, "fixed-edge", seed=1, horizon=3)
+        report = validate_paths_respecting(schedule, infra, [PathSystem(0, 1, ((0, 1), (0, 1)))])
+        assert report == Check(False, "budget-exceeded", (0, 1, 2, 1))
 
     def test_mutation_fuzz_always_rejected(self):
         # deactivate one extra path edge in a random round: must reject
@@ -197,6 +215,57 @@ class TestValidatorRejections:
             mutated = AdversarySchedule(n, 12, mutated_snaps)
             report = validate_paths_respecting(mutated, infra, systems)
             assert not report.ok
+
+
+class TestFamilyStructure:
+    """The validator trusts its systems' structure; the families that
+    `path_family` builds are checked here instead."""
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_ring_family_is_well_formed(self, n):
+        infra, systems = path_family({"generator": "ring-failure", "params": {"n": n}})
+        assert all(structure_problems(s, infra) == [] for s in systems)
+
+    @pytest.mark.parametrize("n, r", [(6, 3), (12, 6), (20, 5)])
+    def test_center_terminal_family_is_well_formed(self, n, r):
+        metadata = {"generator": "center-terminal", "params": {"n": n, "r": r}}
+        infra, systems = path_family(metadata)
+        assert all(structure_problems(s, infra) == [] for s in systems)
+
+    @pytest.mark.parametrize(
+        "system, problem",
+        [
+            (PathSystem(0, 2, ((0, 3, 2),)), "outside infrastructure"),
+            (PathSystem(0, 2, ((0, 1, 2), (0, 1, 2))), "share interior"),
+            (PathSystem(0, 2, ((0, 1, 0, 1, 2),)), "not simple"),
+            (PathSystem(0, 2, ((0, 1),)), "does not join"),
+        ],
+    )
+    def test_checker_flags_malformed_systems(self, system, problem):
+        problems = structure_problems(system, ring_infrastructure(5))
+        assert any(problem in p for p in problems)
+
+    def test_validator_expands_no_ring_system(self, monkeypatch):
+        """No inactive set of ring-failure exceeds a pair's budget of one,
+        so the validator skips every system without expanding its paths.
+        Re-checking each system's structure would cost about n³/2
+        `has_edge` calls."""
+        schedule, infra, systems = build_ring_failure(256, "round-robin", seed=1, horizon=256)
+        calls = {"has_edge": 0, "canonical_edge": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(NetworkSnapshot, "has_edge", counted("has_edge", NetworkSnapshot.has_edge))
+        monkeypatch.setattr(
+            gossipsim.paths, "canonical_edge", counted("canonical_edge", canonical_edge)
+        )
+        assert validate_paths_respecting(schedule, infra, systems).ok
+        assert calls == {"has_edge": 0, "canonical_edge": 0}
 
 
 class TestPathFamily:
@@ -329,7 +398,6 @@ class TestValidatorMatchesOracle:
         [
             [PathSystem(0, 1, ((0, 1), (0, 1)))],  # direct edge listed twice
             [PathSystem(0, 2, ((0, 1, 2), (0, 4, 3, 2))), PathSystem(0, 1, ((0, 1),))],
-            [PathSystem(0, 1, ((0, 1),)), PathSystem(1, 3, ((1, 2, 3), (1, 2, 3)))],
         ],
     )
     def test_hand_systems_equal_oracle(self, systems):
