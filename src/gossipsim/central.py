@@ -228,7 +228,7 @@ class BroadcastOutcome:
 
 
 def _holders(state, token: int) -> int:
-    return sum(row[token] for row in state.member)
+    return sum(row[token] for row in state.member if token < len(row))
 
 
 def _flood_token(run: EngineRun, token: int, max_rounds: int) -> int:

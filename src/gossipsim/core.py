@@ -86,6 +86,15 @@ class NetworkSnapshot:
         self._line = None
 
     @classmethod
+    def from_canonical(cls, n: int, pairs: Iterable[Edge]) -> "NetworkSnapshot":
+        """The graph of `pairs`, frozen as given.  Precondition: every pair is
+        (u, v) with u <= v, as the `random` rounds and the DGS1 reader make
+        them; a flipped pair would be a different edge."""
+        snap = cls(n, ())
+        snap.edges = frozenset(pairs)
+        return snap
+
+    @classmethod
     def line(cls, n: int, order: Sequence[int]) -> "NetworkSnapshot":
         """The path graph along `order` (distinct nodes; the others are
         isolated).  Its directed edges come from the order, with no sort."""
@@ -529,8 +538,9 @@ class TokenState:
     `holdings_seq[v]` is its tokens in arrival order, which gives O(1)
     uniform sampling over held tokens; and `when[v][i]` is the round at
     which `holdings_seq[v][i]` first appeared at v (initially-held tokens
-    have round 0).  A node that holds nothing shares one immutable zero row
-    and empty sequences; its own `bytearray` row and arrays are made when
+    have round 0).  `member[v]` covers only v's own tokens: it is longer
+    than v's highest token, at most the universe size, and holds no id past
+    its end.  An empty node shares one empty row and empty sequences until
     its first token lands.  `arrivals` gives the same records as one
     read-only mapping per node.
     """
@@ -555,7 +565,7 @@ class TokenState:
         self.n = n
         self.universe = universe
         self.holdings: list[int] = [0] * n
-        self.member: list[bytes | bytearray] = [bytes(universe.size)] * n
+        self.member: list[bytes | bytearray] = [b""] * n
         self.holdings_seq: list[Sequence[int]] = [()] * n
         self.when: list[Sequence[int]] = [()] * n
         self.current_round = 0
@@ -564,11 +574,21 @@ class TokenState:
             for node, tokens in initial.items():
                 self.add_mask(node, token_mask(tokens), 0)
 
-    def _open(self, node: int) -> bytearray:
-        """Give an empty node records of its own."""
-        row = self.member[node] = bytearray(self.universe.size)
-        self.holdings_seq[node] = node_array(self.universe.size)
-        self.when[node] = array("I")
+    def _cover(self, node: int, top: int) -> bytearray:
+        """Grow the node's row to cover token `top` (< universe size): from
+        512 bytes, doubling, capped at the universe size.  An empty node
+        gets records of its own."""
+        row = self.member[node]
+        length = len(row) or 512
+        while length <= top:
+            length *= 2
+        length = min(length, self.universe.size)
+        if row:
+            row.extend(bytes(length - len(row)))
+        else:
+            row = self.member[node] = bytearray(length)
+            self.holdings_seq[node] = node_array(self.universe.size)
+            self.when[node] = array("I")
         return row
 
     def _add_sends(self, plan: Sequence[Send], rnd: int) -> list[tuple[int, int]]:
@@ -581,13 +601,13 @@ class TokenState:
         new = []
         for _, node, token in plan:
             row = member[node]
-            if row[token]:
-                continue
-            held = holdings[node]
-            if not held:
-                row = self._open(node)
+            try:
+                if row[token]:
+                    continue
+            except IndexError:  # past the row's end: not held yet
+                row = self._cover(node, token)
             row[token] = 1
-            holdings[node] = held | 1 << token
+            holdings[node] |= 1 << token
             seqs[node].append(token)
             whens[node].append(rnd)
             if token < real:
@@ -605,10 +625,17 @@ class TokenState:
         if new.bit_length() > self.universe.size:
             raise ValueError(f"token {new.bit_length() - 1} outside universe {self.universe}")
         tokens = mask_tokens(new)
-        row = self.member[node] if held else self._open(node)
-        for tok in tokens:
-            row[tok] = 1
-        self.holdings[node] = held | new
+        row = self.member[node]
+        if len(row) < new.bit_length():
+            row = self._cover(node, new.bit_length() - 1)
+        held |= new
+        width = held.bit_length()
+        if len(tokens) * 16 >= width:  # dense: the row's prefix is held's digits
+            row[:width] = bin(held)[:1:-1].encode().translate(_DIGITS_TO_BYTES)
+        else:
+            for tok in tokens:
+                row[tok] = 1
+        self.holdings[node] = held
         self.holdings_seq[node].fromlist(tokens)
         self.when[node].fromlist([rnd] * len(tokens))
         self._real_counts[node] += (new & ((1 << self.universe.real_count) - 1)).bit_count()
@@ -620,7 +647,8 @@ class TokenState:
         return [ArrivalView(self, v) for v in range(self.n)]
 
     def holds(self, node: int, token: int) -> bool:
-        return 0 <= token < self.universe.size and self.member[node][token] == 1
+        row = self.member[node]
+        return 0 <= token < len(row) and row[token] == 1
 
     def tokens(self, node: int) -> frozenset[int]:
         return frozenset(self.holdings_seq[node])
@@ -653,16 +681,19 @@ def validate_plan(plan: Sequence[Send], snapshot: NetworkSnapshot, state: TokenS
     edges = snapshot.edges
     member = state.member
     size = state.universe.size
-    for u, v, tok in plan:
-        if not (
-            ((u, v) if u < v else (v, u) if v < u else None) in edges
-            and 0 <= tok < size
-            and member[u][tok]
-        ):
-            break
-    else:
-        if len(set(map(_sender_receiver, plan))) == len(plan):
-            return
+    try:
+        for u, v, tok in plan:
+            if not (
+                ((u, v) if u < v else (v, u) if v < u else None) in edges
+                and 0 <= tok < size
+                and member[u][tok]
+            ):
+                break
+        else:
+            if len(set(map(_sender_receiver, plan))) == len(plan):
+                return
+    except IndexError:  # a token past its sender's row
+        pass
     # Some send is faulty: find the first and say what is wrong with it.
     used: set[tuple[int, int]] = set()
     for send in plan:
@@ -674,7 +705,7 @@ def validate_plan(plan: Sequence[Send], snapshot: NetworkSnapshot, state: TokenS
         if (u, v) in used:
             raise PlanError(f"directed edge ({u}, {v}) used twice")
         used.add((u, v))
-        if not (0 <= tok < size and member[u][tok]):
+        if not state.holds(u, tok):
             raise PlanError(f"sender {u} does not hold token {tok}")
 
 

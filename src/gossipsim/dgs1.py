@@ -91,7 +91,7 @@ def schedule_from_text(text: str) -> AdversarySchedule:
         if current_round is None:
             return
         if current_round >= 1:
-            check = validate_snapshot(NetworkSnapshot(n, edges))
+            check = validate_snapshot(NetworkSnapshot.from_canonical(n, edges))
             if not check:
                 raise Dgs1Error(
                     f"round {current_round}: {check.reason} (witness {check.witness})",
@@ -162,7 +162,7 @@ def schedule_from_text(text: str) -> AdversarySchedule:
 
     def build(t: int) -> NetworkSnapshot:
         a, b = ends[t - 1], ends[t]
-        return NetworkSnapshot(n, zip(us[a:b], vs[a:b]))
+        return NetworkSnapshot.from_canonical(n, zip(us[a:b], vs[a:b]))
 
     return AdversarySchedule(
         n=n,

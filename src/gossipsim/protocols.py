@@ -62,16 +62,12 @@ def sym_diff_step(
     """
     plan: list[Send] = []
     holdings = state.holdings
-    member = state.member
     for u, v in sorted(snapshot.edges):
         sym = holdings[u] ^ holdings[v]
         if not sym:
             continue
         tok = draw_token(sym, rng)
-        if member[u][tok]:
-            plan.append((u, v, tok))
-        else:
-            plan.append((v, u, tok))
+        plan.append((u, v, tok) if state.holds(u, tok) else (v, u, tok))
     return plan
 
 
@@ -206,8 +202,12 @@ def skb_step(
     picks = policy.sample_round(rng, state.current_round + 1, state)
     for node, tok in picks:
         for nb in adjacency[node]:
-            if not member[nb][tok]:
-                plan.append((node, nb, tok))
+            try:
+                if member[nb][tok]:
+                    continue
+            except IndexError:  # past the row's end: not held
+                pass
+            plan.append((node, nb, tok))
     return plan
 
 
@@ -220,14 +220,10 @@ def flood_step(token: int, state: TokenState, snapshot: NetworkSnapshot) -> list
     plan: list[Send] = []
     if not 0 <= token < state.universe.size:
         return plan
-    member = state.member
+    has = [token < len(row) and row[token] == 1 for row in state.member]
     for u, v in snapshot.edges:
-        u_has = member[u][token]
-        v_has = member[v][token]
-        if u_has and not v_has:
-            plan.append((u, v, token))
-        elif v_has and not u_has:
-            plan.append((v, u, token))
+        if has[u] != has[v]:
+            plan.append((u, v, token) if has[u] else (v, u, token))
     return plan
 
 

@@ -97,7 +97,7 @@ def build_random_interval_connected(
     rng = derive_rng(seed, "random-interval", n)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]  # row-major
     if extra_edge_prob >= 1.0:
-        rounds = RoundSource.static(NetworkSnapshot(n, pairs))
+        rounds = RoundSource.static(NetworkSnapshot.from_canonical(n, pairs))
     else:
         # Round t's tree is parents[(t-1)(n-1):t(n-1)], the parents of nodes
         # 1..n-1, and its extra pairs' indices are extra[ends[t-1]:ends[t]].
@@ -116,7 +116,8 @@ def build_random_interval_connected(
         def build(t: int) -> NetworkSnapshot:
             a = (t - 1) * (n - 1)
             tree = map(row_item, tree_rows, parents[a : a + n - 1])
-            return NetworkSnapshot(n, chain(tree, map(pair_of, extra[ends[t - 1] : ends[t]])))
+            extras = map(pair_of, extra[ends[t - 1] : ends[t]])
+            return NetworkSnapshot.from_canonical(n, chain(tree, extras))
 
         rounds = RoundSource(lambda t: t, build)
     return AdversarySchedule(

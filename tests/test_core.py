@@ -1,6 +1,7 @@
 """Engine semantics: snapshot validation, round application, determinism."""
 
 import hashlib
+import sys
 import tracemalloc
 from collections import deque
 
@@ -177,6 +178,19 @@ class TestApplyRound:
             one_round(state, [(0, 1), (1, 2)]).execute(plan)
         assert str(err.value) == message
 
+    def test_token_past_the_senders_row_is_not_held(self):
+        """A token inside the universe but past the sender's 512-byte row is
+        reported like any unheld token, and nothing lands."""
+        state = TokenState(3, TokenUniverse(1100, 1100), {0: [5], 1: [900]})
+        assert [len(row) for row in state.member] == [512, 1024, 0]
+        for plan in ([(0, 1, 700)], [(1, 2, 900), (0, 1, 700)]):
+            with pytest.raises(PlanError) as err:
+                one_round(state, [(0, 1), (1, 2)]).execute(plan)
+            assert str(err.value) == "sender 0 does not hold token 700"
+            assert state.current_round == 0
+            assert [len(row) for row in state.member] == [512, 1024, 0]
+            assert [list(seq) for seq in state.holdings_seq] == [[5], [900], []]
+
 
 class TestTokenState:
     def test_full_state_is_compact(self):
@@ -197,7 +211,7 @@ class TestTokenState:
         assert peak < 12 * 2**20
 
     def test_empty_nodes_allocate_nothing(self):
-        """One source at n=4096: the other nodes share one zero row and
+        """One source at n=4096: the other nodes share one empty row and
         empty sequences (0.36 MB traced).  A dict and a list per node
         traced 1.03 MB."""
         n = 4096
@@ -209,6 +223,24 @@ class TestTokenState:
             tracemalloc.stop()
         assert state.node_complete(0) and not state.holds(1, 0)
         assert peak < 0.5 * 2**20
+
+    def test_narrow_holdings_take_short_rows(self):
+        """4096 nodes each receive one 64-token group below id 128: each row
+        covers only its node's tokens, 512 bytes (2.2 MB of rows, 4.7 MB
+        traced in all).  Rows as wide as the universe took 16.2 MB, 18.7 MB
+        traced."""
+        n = 4096
+        state = TokenState(n, TokenUniverse(n, n))
+        tracemalloc.start()
+        try:
+            for v in range(n):
+                state.add_mask(v, ((1 << 64) - 1) << (64 * (v % 2)), 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(len(row) == 512 for row in state.member)
+        assert sum(map(sys.getsizeof, state.member)) < 3 * 2**20
+        assert peak < 6 * 2**20
 
     def test_arrival_view_is_a_read_only_mapping(self):
         state = TokenState(3, TokenUniverse(8, 8), {0: [5]})
@@ -266,10 +298,11 @@ class TestRunSimulation:
         assert median == 10.0
 
     @pytest.mark.parametrize("shape", ["line", "cycle"])
-    @pytest.mark.parametrize("tokens", [130, 300])
+    @pytest.mark.parametrize("tokens", [130, 300, 1100])
     def test_wide_token_sets_match_reference(self, shape, tokens):
         # Differences of up to `tokens` tokens exercise the wide branch of
         # the rank-select draw; the straight-line simulator sorts instead.
+        # Above 512 tokens the receivers' rows start short and grow.
         n = 10
         if shape == "line":
             schedule, edges = line_schedule(n), [(i, i + 1) for i in range(n - 1)]
@@ -498,6 +531,50 @@ def test_bitsets_agree_with_arrivals(graph, seed):
 
 
 # Insertion masks against a per-token oracle
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_short_rows_hold_what_a_set_reference_holds(data):
+    """Masks and executed plans over universes of 1 to 3000 tokens, so rows
+    start short, grow and reach the universe size: `holds` answers like a
+    set on every id in [-2, size + 2], and every row covers its node's
+    highest token without passing the universe."""
+    size = data.draw(st.integers(1, 3000), label="size")
+    n = 4
+    token = st.integers(0, size - 1)
+    ranges = st.tuples(token, token).map(lambda ab: range(min(ab), max(ab) + 1))
+    edges = [(0, 1), (1, 2), (2, 3), (0, 2)]
+    directed = [(u, v) for e in edges for u, v in (e, e[::-1])]
+    state = TokenState(n, TokenUniverse(size, size))
+    run = EngineRun(
+        AdversarySchedule(n, 1, [NetworkSnapshot(n, edges)], cyclic_extendable=True),
+        state,
+        seed=0,
+        max_rounds=20,
+    )
+    held = [set() for _ in range(n)]
+    for _ in range(data.draw(st.integers(1, 12), label="steps")):
+        if data.draw(st.booleans(), label="mask"):
+            node = data.draw(st.integers(0, n - 1), label="node")
+            tokens = data.draw(st.one_of(st.lists(token, max_size=6), ranges), label="tokens")
+            state.add_mask(node, token_mask(tokens), 0)
+            held[node].update(tokens)
+        else:
+            plan = [
+                (u, v, data.draw(st.sampled_from(sorted(held[u])), label="token"))
+                for u, v in directed
+                if held[u] and data.draw(st.booleans(), label="send")
+            ]
+            run.execute(plan)
+            for _, v, tok in plan:
+                held[v].add(tok)
+        for v in range(n):
+            assert state.holdings[v].bit_length() <= len(state.member[v]) <= size
+    for v in range(n):
+        assert [t for t in range(-2, size + 3) if state.holds(v, t)] == sorted(held[v])
+        assert sorted(state.holdings_seq[v]) == sorted(held[v])
+        assert state.holdings[v] == token_mask(held[v])
 
 
 @given(st.data())

@@ -162,6 +162,27 @@ def test_import_keeps_rounds_compact():
     assert schedule.snapshot_at(7) is schedule.snapshot_at(7)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"name": "random", "horizon": 40, "extra_edge_prob": 0.2},
+        {"name": "ring-failure", "horizon": 40},
+        {"name": "blocker-invasive"},
+        {"name": "skb-blocker"},
+    ],
+    ids=lambda spec: spec["name"],
+)
+def test_read_rounds_equal_the_flipping_constructor(spec):
+    """The reader freezes its u < v pairs as given; the constructor that
+    flips each pair builds the same graphs from the reversed pairs."""
+    schedule = build_schedule(spec, 64, 2)
+    again = schedule_from_text(schedule_to_text(schedule))
+    for t in range(1, schedule.horizon + 1):
+        snap = again.snapshot_at(t)
+        assert snap == NetworkSnapshot(64, [(v, u) for u, v in snap.edges])
+        assert snap == schedule.snapshot_at(t)
+
+
 class TestRoundTrip:
     def test_tiny_round_trip(self, tmp_path):
         path = tmp_path / "tiny.dgs"

@@ -340,6 +340,68 @@ def test_rand_diff_step_matches_choice_over_sorted_difference(n, distinct, seed,
     assert ours.random() == ref.random()  # the streams stay in step
 
 
+def reference_sym_diff(state, snapshot, rng):
+    """sym-diff from token sets: ascending edges, a uniform `rng.choice`
+    over the sorted symmetric difference, sent by the endpoint that holds
+    the drawn token (by `state.holds`)."""
+    plan = []
+    for u, v in sorted(snapshot.edges):
+        sym = sorted(state.tokens(u) ^ state.tokens(v))
+        if sym:
+            tok = sym[0] if len(sym) == 1 else rng.choice(sym)
+            plan.append((u, v, tok) if state.holds(u, tok) else (v, u, tok))
+    return plan
+
+
+def reference_skb(state, snapshot, rng):
+    """skb-uniform's picks, each broadcast to the neighbours that do not
+    hold the token by `state.holds`."""
+    picks = uniform_skb().sample_round(rng, state.current_round + 1, state)
+    return [
+        (node, nb, tok)
+        for node, tok in picks
+        for nb in snapshot.adjacency[node]
+        if not state.holds(nb, tok)
+    ]
+
+
+def reference_flood(token, state, snapshot):
+    plan = []
+    for u, v in snapshot.edges:
+        if state.holds(u, token) != state.holds(v, token):
+            plan.append((u, v, token) if state.holds(u, token) else (v, u, token))
+    return plan
+
+
+@given(st.integers(2, 30), st.integers(1, 3000), st.integers(0, 2**32))
+@settings(max_examples=80, deadline=None)
+def test_steps_on_short_rows_match_set_references(n, size, seed):
+    """Holdings in narrow bands at random offsets, so rows end at 512, 1024,
+    2048 or the universe size and some nodes hold nothing: sym-diff,
+    skb-uniform and flood plan what references built on `holds` plan."""
+    rng = derive_rng("short-rows", seed)
+    holdings = {}
+    for v in range(n):
+        if rng.random() < 0.7:
+            low = rng.randrange(size)
+            band = range(low, min(size, low + rng.randrange(1, 80)))
+            holdings[v] = [t for t in band if rng.random() < 0.5] or [low]
+    state = TokenState(n, TokenUniverse(size, size), holdings)
+    for v in range(n):
+        assert max(holdings.get(v, [-1])) < len(state.member[v]) <= size
+    order = list(range(n))
+    rng.shuffle(order)
+    extra = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(n // 2)}
+    snap = NetworkSnapshot(n, set(zip(order, order[1:])) | extra)
+    ours, ref = derive_rng("draw", seed), derive_rng("draw", seed)
+    assert sym_diff_step(state, snap, ours) == reference_sym_diff(state, snap, ref)
+    assert skb_step(uniform_skb(), state, snap, ours) == reference_skb(state, snap, ref)
+    assert ours.random() == ref.random()  # the streams stay in step
+    held = sorted({t for tokens in holdings.values() for t in tokens})
+    for token in [-1, 0, size - 1, size, *rng.sample(held, min(5, len(held)))]:
+        assert flood_step(token, state, snap) == reference_flood(token, state, snap)
+
+
 class TestInformationDiscipline:
     def test_rand_diff_chi_square_uniform_at_fixed_state(self):
         # conditional on the difference set, each token wins equally often

@@ -215,6 +215,16 @@ class TestLaw:
             "4cda94f6e55e65f785fd47611baa0b595ebae18a1e86680ec65b3020fe846354"
         )
 
+    @pytest.mark.parametrize("n", [2, 3, 24, 64])
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.5, 1.0])
+    def test_rounds_equal_the_flipping_constructor(self, n, p):
+        """Rounds are frozen from their canonical pairs as given; the
+        constructor that flips each pair builds the same graphs from the
+        reversed pairs."""
+        for snap in snapshots(build_random_interval_connected(n, p, seed=4, horizon=30)):
+            assert snap == NetworkSnapshot(n, [(v, u) for u, v in snap.edges])
+            assert all(u < v for u, v in snap.edges)
+
     @pytest.mark.parametrize("n", [2, 3, 23, 24, 64])
     @pytest.mark.parametrize("p", [1e-9, 0.1, 0.5, 0.999])
     def test_rounds_match_row_walk(self, n, p):
