@@ -23,11 +23,11 @@ from __future__ import annotations
 import hashlib
 import random
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
-from operator import itemgetter
+from operator import add, itemgetter, mul
 from typing import Callable, Hashable, Iterable, NamedTuple, Protocol, Sequence
 
 NodeId = int
@@ -73,7 +73,7 @@ def derive_rng(*keys) -> random.Random:
 class NetworkSnapshot:
     """One round's communication graph: undirected, expected connected."""
 
-    __slots__ = ("n", "edges", "_adjacency", "_directed", "_line")
+    __slots__ = ("n", "edges", "_adjacency", "_directed")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         self.n = n
@@ -83,7 +83,6 @@ class NetworkSnapshot:
         )
         self._adjacency = None
         self._directed = None
-        self._line = None
 
     @classmethod
     def from_canonical(cls, n: int, pairs: Iterable[Edge]) -> "NetworkSnapshot":
@@ -97,10 +96,8 @@ class NetworkSnapshot:
     @classmethod
     def line(cls, n: int, order: Sequence[int]) -> "NetworkSnapshot":
         """The path graph along `order` (distinct nodes; the others are
-        isolated).  Its directed edges come from the order, with no sort."""
-        snap = cls(n, zip(order, order[1:]))
-        snap._line = order
-        return snap
+        isolated)."""
+        return cls(n, zip(order, order[1:]))
 
     def __eq__(self, other):
         return (
@@ -134,51 +131,49 @@ class NetworkSnapshot:
         """All directed edges in ascending (sender, receiver) order."""
         if self._directed is None:
             directed = []
-            if self._line is not None:
-                # Each node's line neighbours, the lower first, node by node.
-                prev, succ = [-1] * self.n, [-1] * self.n
-                for u, v in zip(self._line, self._line[1:]):
-                    succ[u] = v
-                    prev[v] = u
-                append = directed.append
-                for u, a, b in zip(range(self.n), prev, succ):
-                    if a > b:
-                        a, b = b, a
-                    if a >= 0:
-                        append((u, a))
-                        append((u, b))
-                    elif b >= 0:
-                        append((u, b))
-            else:
-                for u, v in self.edges:
-                    if u != v:
-                        directed.append((u, v))
-                        directed.append((v, u))
-                directed.sort()
+            for u, v in self.edges:
+                if u != v:
+                    directed.append((u, v))
+                    directed.append((v, u))
+            directed.sort()
             self._directed = directed
         return self._directed
 
     def has_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u <= v else (v, u)) in self.edges
 
-    def without(self, removed: Iterable[Edge]) -> "NetworkSnapshot":
-        """This graph minus some of its canonical edges.  The directed edges
-        are this graph's with the removed pairs cut out, so the variants of
-        one base graph cost no sort."""
-        removed = self.edges.intersection(removed)
+    def edited(self, removed: Iterable[Edge], added: Iterable[Edge] = ()) -> "NetworkSnapshot":
+        """This graph minus `removed` plus `added` (canonical pairs).
+
+        The directed edges and adjacency this graph has already built are
+        spliced, not rebuilt: removals are cut out of the directed edges in
+        one pass, additions are inserted by bisection, and only the touched
+        nodes' neighbour lists are copied; the others are shared.
+        """
+        added = frozenset(added)
+        removed = self.edges.intersection(removed) - added
+        added = added - self.edges
         snap = NetworkSnapshot(self.n, ())
-        snap.edges = self.edges - removed
-        directed = self.directed_edges
-        cuts = sorted(
-            bisect_left(directed, pair)
-            for u, v in removed
-            if u != v
-            for pair in ((u, v), (v, u))
-        )
-        starts = [0, *(i + 1 for i in cuts)]
-        snap._directed = list(
-            chain.from_iterable(directed[a:b] for a, b in zip(starts, [*cuts, len(directed)]))
-        )
+        snap.edges = self.edges.difference(removed).union(added)
+        cut = sorted(p for u, v in removed if u != v for p in ((u, v), (v, u)))
+        put = [p for u, v in added if u != v for p in ((u, v), (v, u))]
+        if self._directed is not None:
+            directed = self._directed
+            ends = [bisect_left(directed, p) for p in cut]
+            starts = [0, *(i + 1 for i in ends)]
+            pieces = map(directed.__getitem__, map(slice, starts, [*ends, None]))
+            snap._directed = list(chain.from_iterable(pieces))
+            for p in put:
+                insort(snap._directed, p)
+        if self._adjacency is not None:
+            gone: dict[int, set[int]] = {}
+            for u, v in chain(cut, put):
+                gone.setdefault(u, set()).add(v)
+            adj = snap._adjacency = self._adjacency.copy()
+            for u, vs in gone.items():  # touched nodes' lists are copies
+                adj[u] = [v for v in adj[u] if v not in vs]
+            for u, v in put:
+                insort(adj[u], v)
         return snap
 
 
@@ -281,7 +276,8 @@ class RoundSource:
     itself, a variant index or a segment.  `build(key)` makes that graph.
     Only the latest key's snapshot is kept, so the rounds of one segment and
     a cyclic tail reuse one object and its cached adjacency and directed
-    edges, while the generator keeps only its compact per-round data.
+    edges, while the generator keeps only its compact per-round data.  Line
+    schedules derive each segment's graph from the kept one (`lines`).
     """
 
     __slots__ = ("key_of", "build", "_key", "_snapshot")
@@ -306,8 +302,28 @@ class RoundSource:
 
     @classmethod
     def lines(cls, n: int, orders: Sequence[Sequence[int]], span: int) -> "RoundSource":
-        """Round t is the path graph along `orders[(t-1) // span]`."""
-        return cls(lambda t: (t - 1) // span, lambda k: NetworkSnapshot.line(n, orders[k]))
+        """Round t is the path graph along `orders[(t-1) // span]`.  The
+        segment after the kept one is the kept graph `edited` by the hops
+        (coded as ints u*n + v) that one order has and the other lacks; a hop
+        that only turned around is both removed and added, so it stays.
+        Any other access builds the line afresh."""
+        kept: dict[int, set[int]] = {}  # the kept segment's hops
+
+        def build(k: int) -> NetworkSnapshot:
+            order = orders[k]
+            after = set(map(add, map(mul, order, repeat(n)), order[1:]))
+            before = kept.pop(k - 1, None) if source._key == k - 1 else None
+            kept.clear()
+            kept[k] = after
+            if before is None:
+                return NetworkSnapshot.line(n, order)
+            return source._snapshot.edited(
+                [canonical_edge(*divmod(c, n)) for c in before - after],
+                [canonical_edge(*divmod(c, n)) for c in after - before],
+            )
+
+        source = cls(lambda t: (t - 1) // span, build)
+        return source
 
 
 @dataclass
@@ -316,7 +332,9 @@ class AdversarySchedule:
 
     `snapshot_at(t)` is the graph for round t (rounds are 1-indexed), from
     the round source `rounds`; a sequence of one snapshot per round is
-    accepted in its place.  When `cyclic_extendable` is set, rounds beyond
+    accepted in its place.  Rounds are cheapest in order: a line schedule
+    derives each segment's graph from the one before, and any other access
+    builds the same graph afresh.  When `cyclic_extendable` is set, rounds beyond
     the horizon repeat the final graph (a static, still-connected tail).
     `insertion_masks[t]` holds round t's insertions as ascending (node, token
     mask) pairs: the tokens appear at the node at the end of round t, and
@@ -421,10 +439,15 @@ _DIGITS_TO_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 def token_mask(tokens: Iterable[int]) -> int:
     """Bitset of a token collection.
 
-    One `1 << tok` OR per token costs O(width) each, so a collection holding
-    at least 1/16 of its width is set in a byte row instead, one byte per id,
-    and read as the mask's binary digits.
+    A step-1 `range` is a run of ones, made by one subtraction.  One
+    `1 << tok` OR per token costs O(width) each, so another collection
+    holding at least 1/16 of its width is set in a byte row instead, one
+    byte per id, and read as the mask's binary digits.
     """
+    if isinstance(tokens, range) and tokens.step == 1 and tokens:
+        if tokens.start < 0:
+            raise ValueError(f"negative token {tokens.start}")
+        return (1 << tokens.stop) - (1 << tokens.start)
     tokens = list(tokens)
     top = max(tokens, default=0)
     if len(tokens) * 16 < top:

@@ -22,7 +22,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -94,14 +94,11 @@ def build_schedule(spec: dict, n: int, fallback_seed: int) -> AdversarySchedule:
         if "r" not in spec:
             raise KeyError("center-terminal needs r")
         return build_center_terminal(n, spec["r"], seed, horizon)[0]
-    if name == "blocker-invasive":
-        return build_blocker_line_invasive(
-            BlockerLineParams(n, seed, epsilon=spec.get("epsilon", DEFAULT_EPSILON))
-        )
-    if name == "blocker-oblivious":
-        return build_blocker_line_oblivious(
-            BlockerLineParams(n, seed, epsilon=spec.get("epsilon", DEFAULT_EPSILON))
-        )
+    if name in ("blocker-invasive", "blocker-oblivious"):
+        params = BlockerLineParams(n, seed, epsilon=spec.get("epsilon", DEFAULT_EPSILON))
+        if name == "blocker-invasive":
+            return build_blocker_line_invasive(params)
+        return build_blocker_line_oblivious(params)
     if name == "skb-blocker":
         return build_skb_adversary(SkbAdversaryParams(n, seed))
     if name == "file":
@@ -231,19 +228,11 @@ class ExperimentConfig:
         return cfg
 
     def to_dict(self) -> dict:
-        """The raw config form that `from_dict` reads."""
-        return {
-            "adversary": self.adversary,
-            "protocol": self.protocol,
-            "initial": self.initial,
-            "n": self.n_list,
-            "seeds": self.seeds,
-            "max_rounds": self.max_rounds,
-            "out": self.out,
-            "stop_at_sentinel": self.stop_at_sentinel,
-            "emit_trace": self.emit_trace,
-            "measure": self.measure,
-        }
+        """The raw config form that `from_dict` reads: the fields, with
+        `n_list` under "n"."""
+        raw = {f.name: getattr(self, f.name) for f in fields(self)}
+        raw["n"] = raw.pop("n_list")
+        return raw
 
     def to_canonical_json(self) -> str:
         """`to_dict` without the output settings, which do not change rows."""
@@ -318,11 +307,8 @@ def run_cell(config: ExperimentConfig, n: int, seed: int, keep_result: bool = Fa
 
 
 def _central_params(protocol_spec: dict) -> CentralParams:
-    fields = {}
-    for key in ("c_phase", "c_stage", "c_ex", "c_cap", "c_s", "mode"):
-        if key in protocol_spec:
-            fields[key] = protocol_spec[key]
-    return CentralParams(**fields)
+    keys = ("c_phase", "c_stage", "c_ex", "c_cap", "c_s", "mode")
+    return CentralParams(**{key: protocol_spec[key] for key in keys if key in protocol_spec})
 
 
 def _cell_task(payload) -> dict:
@@ -429,16 +415,9 @@ def summarize_sweep(rows: list[dict], config: ExperimentConfig) -> SweepSummary:
     summary = SweepSummary(measure=config.measure)
     for n in sorted(config.n_list):
         cell_rows = [r for r in rows if r["n"] == n]
-        if config.measure == "sentinel":
-            values = [
-                float(r["sentinel_round"]) for r in cell_rows if r["sentinel_round"] != ""
-            ]
-        else:
-            values = [
-                float(r["completion_round"])
-                for r in cell_rows
-                if r["completion_round"] != "TIMEOUT"
-            ]
+        column = "sentinel_round" if config.measure == "sentinel" else "completion_round"
+        # A cell without a value reads "" (no sentinel) or "TIMEOUT".
+        values = [float(r[column]) for r in cell_rows if r[column] not in ("", "TIMEOUT")]
         timeouts = sum(1 for r in cell_rows if r["completion_round"] == "TIMEOUT")
         entry = {
             "count": len(cell_rows),

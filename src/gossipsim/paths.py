@@ -173,6 +173,7 @@ def build_ring_failure(
         "seed": seed,
     }
     infra, systems = path_family(metadata)
+    infra.directed_edges  # sorted once; every round's graph splices it
     rng = derive_rng(seed, "ring-failure", n, horizon)
     policies = {
         "round-robin": lambda t: t % n,
@@ -188,7 +189,7 @@ def build_ring_failure(
         horizon=horizon,
         rounds=RoundSource(
             lambda t: removed[t - 1],
-            lambda k: infra.without([(k, k + 1) if k + 1 < n else (0, k)]),
+            lambda k: infra.edited([(k, k + 1) if k + 1 < n else (0, k)]),
         ),
         mode="oblivious",
         metadata=metadata,
@@ -242,6 +243,7 @@ def build_center_terminal(
         "seed": seed,
     }
     infra, systems = path_family(metadata)
+    infra.directed_edges  # sorted once; every round's graph splices it
     rng = derive_rng(seed, "center-terminal", n, r, horizon)
     offset = rng.randrange(r)
     # Round t disables centers first, first + 1, ... (mod r) for its stored first.
@@ -249,7 +251,7 @@ def build_center_terminal(
 
     def build(first: int) -> NetworkSnapshot:
         disabled = [(first + i) % r for i in range(fail_count)]
-        return infra.without([(c, v) for c in disabled for v in range(r, n)])
+        return infra.edited([(c, v) for c in disabled for v in range(r, n)])
 
     schedule = AdversarySchedule(
         n=n,

@@ -77,16 +77,9 @@ def blocker_sets(params: SkbAdversaryParams) -> list[list[list[int]]]:
     """Disjoint token sets: sets[i-1][k-1] backs round k of phase i's
     segments.  Reserved ids start at 0; the rest of the universe is never
     injected."""
-    size = params.blocker_set_size
-    out = []
-    next_tok = 0
-    for _ in range(params.phases):
-        phase_sets = []
-        for _ in range(params.sets_per_phase):
-            phase_sets.append(list(range(next_tok, next_tok + size)))
-            next_tok += size
-        out.append(phase_sets)
-    return out
+    size, per_phase = params.blocker_set_size, params.sets_per_phase
+    starts = [[(p * per_phase + j) * size for j in range(per_phase)] for p in range(params.phases)]
+    return [[list(range(lo, lo + size)) for lo in phase] for phase in starts]
 
 
 def build_skb_adversary(params: SkbAdversaryParams) -> AdversarySchedule:

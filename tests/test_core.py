@@ -1,6 +1,7 @@
 """Engine semantics: snapshot validation, round application, determinism."""
 
 import hashlib
+import math
 import sys
 import tracemalloc
 from collections import deque
@@ -35,8 +36,8 @@ from gossipsim.blocker_line import (
     build_blocker_line_oblivious,
 )
 from gossipsim.dgs1 import schedule_to_text
-from gossipsim.harness import build_schedule
-from gossipsim.protocols import RandDiff
+from gossipsim.harness import build_schedule, initial_state, make_sentinel_stop
+from gossipsim.protocols import RandDiff, get_protocol
 from gossipsim.skb_adversary import SkbAdversaryParams, build_skb_adversary
 
 from reference_sim import reference_rand_diff_completion
@@ -506,6 +507,40 @@ def test_token_mask_rejects_negative_tokens(tokens):
         token_mask(tokens)
 
 
+def _or_reference(tokens):
+    mask = 0
+    for tok in tokens:
+        mask |= 1 << tok  # ValueError for a negative token
+    return mask
+
+
+@given(
+    st.integers(-40, 3000),
+    st.integers(-40, 3000),
+    st.integers(1, 5),
+    st.sampled_from(["range", "list", "duplicated", "set"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_token_mask_matches_the_or_reference(start, stop, step, shape):
+    """Ranges (empty ones, start > 0, step > 1) and the other collection
+    shapes, with duplicates and negative tokens, against one OR per token:
+    equal masks, or a ValueError on both sides."""
+    tokens = range(start, stop, step)
+    if shape == "list":
+        tokens = list(tokens)
+    elif shape == "duplicated":
+        tokens = [tok for tok in tokens for _ in range(2)]
+    elif shape == "set":
+        tokens = set(tokens)
+    try:
+        expected = _or_reference(tokens)
+    except ValueError:
+        with pytest.raises(ValueError):
+            token_mask(tokens)
+    else:
+        assert token_mask(tokens) == expected
+
+
 @given(wide_masks, st.integers(0, 2**32))
 @settings(max_examples=100, deadline=None)
 def test_draw_token_is_choice_over_sorted_tokens(mask, seed):
@@ -755,30 +790,89 @@ class TestRoundSource:
             source(t)
         assert built == [0, 1, 0]
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_blocker_line_invasive(BlockerLineParams(400, 1)),
+            lambda: build_blocker_line_invasive(BlockerLineParams(1024, 2, epsilon=0.5)),
+            lambda: build_blocker_line_oblivious(BlockerLineParams(400, 3)),
+            lambda: build_blocker_line_oblivious(BlockerLineParams(1024, 4, epsilon=0.5)),
+            lambda: build_skb_adversary(SkbAdversaryParams(64, 5)),
+            lambda: build_skb_adversary(SkbAdversaryParams(256, 6)),
+        ],
+        ids=[
+            "invasive-400",
+            "invasive-1024-eps-half",
+            "oblivious-400",
+            "oblivious-1024-eps-half",
+            "skb-64",
+            "skb-256",
+        ],
+    )
+    def test_derived_segments_match_fresh_builds(self, build):
+        """Walked forwards, backwards, skipping and zigzagging, every
+        segment's graph equals a fresh build of its line order in edges,
+        directed edges and adjacency; both caches are read at every step,
+        so each derived segment splices both."""
+        reference = build()
+        segments = math.ceil(reference.horizon / reference.metadata["params"]["segment_rounds"])
+        assert segments >= 4
+        fresh = [_fresh_views(reference.rounds.build(k)) for k in range(segments)]
+        walks = {
+            "forwards": list(range(segments)),
+            "backwards": list(range(segments))[::-1],
+            "skipping": [k for k in range(segments) if k % 3 != 2],
+            "zigzag": [k for j in range(segments - 2) for k in (j, j + 2, j + 1)],
+        }
+        for name, walk in walks.items():
+            schedule = build()
+            span = schedule.metadata["params"]["segment_rounds"]
+            for k in walk:
+                snap = schedule.snapshot_at(k * span + 1)
+                views = (snap.edges, snap.directed_edges, snap.adjacency)
+                assert views == fresh[k], f"{name} walk, segment {k}"
+
+    def test_flood_on_derived_lines_matches_fresh_lines(self):
+        """flood_step reads `snapshot.edges` in set order, which an edit may
+        change; the sentinel round and the final state do not.  One round per
+        segment and two phases, so the flood crosses every derived segment
+        and a phase boundary before its sentinel reaches a target."""
+        n = 2304
+        spec = {"name": "blocker-oblivious"}
+        derived = build_schedule(spec, n, 1)
+        fresh = build_schedule(spec, n, 1)
+        span = fresh.metadata["params"]["segment_rounds"]
+        graphs = [fresh.rounds.build(k) for k in range(fresh.horizon // span)]
+        fresh = AdversarySchedule(
+            n,
+            fresh.horizon,
+            [graphs[(t - 1) // span] for t in range(1, fresh.horizon + 1)],
+            metadata=fresh.metadata,
+            cyclic_extendable=True,
+        )
+        results = []
+        for schedule in (derived, fresh):
+            state = initial_state({"kind": "single-source"}, n, schedule)
+            results.append(
+                run_simulation(
+                    schedule,
+                    get_protocol(f"flood:{n - 1}"),
+                    state,
+                    4 * n,
+                    seed=1,
+                    stop_when=make_sentinel_stop(schedule.metadata),
+                )
+            )
+        on_derived, on_fresh = results
+        assert on_derived.stopped_early and on_derived.rounds_executed >= derived.horizon
+        assert on_derived.rounds_executed == on_fresh.rounds_executed
+        assert on_derived.per_round_new_arrivals == on_fresh.per_round_new_arrivals
+        assert on_derived.final_state == on_fresh.final_state
+
     def test_snapshot_list_must_match_horizon(self):
         snap = NetworkSnapshot(2, [(0, 1)])
         with pytest.raises(ScheduleError):
             AdversarySchedule(2, 3, [snap, snap])
-
-
-@given(st.data())
-@settings(max_examples=100, deadline=None)
-def test_line_directed_edges_match_the_sorted_ones(data):
-    """A line's directed edges, read off its order, equal the generic
-    snapshot's sorted ones, for full and partial line orders."""
-    n = data.draw(st.integers(1, 300), "n")
-    order = data.draw(st.permutations(range(n)), "order")
-    order = order[: data.draw(st.integers(0, n), "length")]
-    if data.draw(st.booleans(), "as array"):
-        order = node_array(n, order)
-    line = NetworkSnapshot.line(n, order)
-    generic = NetworkSnapshot(n, zip(order, order[1:]))
-    assert line == generic
-    assert line.directed_edges == generic.directed_edges
-    assert line.directed_edges == sorted(
-        pair for u, v in generic.edges for pair in ((u, v), (v, u))
-    )
-    assert line.adjacency == generic.adjacency
 
 
 @given(st.data())
@@ -812,14 +906,46 @@ def test_bfs_distances_match_a_reference_bfs(data):
     assert bfs_distances(snap, sources) == expected
 
 
-@given(connected_graph, st.data())
-@settings(max_examples=60, deadline=None)
-def test_without_matches_a_fresh_snapshot(graph, data):
-    n, extra = graph
-    base = _connect(n, extra)
-    removed = data.draw(st.sets(st.sampled_from(sorted(base.edges))))
-    derived = base.without(removed)
-    fresh = NetworkSnapshot(n, base.edges - removed)
-    assert derived == fresh
-    assert derived.directed_edges == fresh.directed_edges
-    assert derived.adjacency == fresh.adjacency
+def _fresh_views(snap):
+    fresh = NetworkSnapshot(snap.n, snap.edges)
+    return fresh.edges, fresh.directed_edges, fresh.adjacency
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_edited_matches_a_fresh_snapshot(data):
+    """An edited graph equals a fresh one in edges, directed edges and
+    adjacency, whichever of its base's caches were built: removals of
+    present and absent pairs, additions of new and present pairs, a pair
+    both removed and added, self-loops, and line bases given by an order.
+    The base and its caches are left as they were."""
+    n = data.draw(st.integers(1, 40), "n")
+    node = st.integers(0, n - 1)
+    pair = st.tuples(node, node).map(lambda e: (min(e), max(e)))
+    if data.draw(st.booleans(), "line base"):
+        order = data.draw(st.permutations(range(n)), "order")
+        order = order[: data.draw(st.integers(0, n), "length")]
+        if data.draw(st.booleans(), "as array"):
+            order = node_array(n, order)
+        base = NetworkSnapshot.line(n, order)
+    else:
+        base = NetworkSnapshot(n, data.draw(st.sets(pair, max_size=3 * n), "edges"))
+    present = sorted(base.edges)
+    removed = data.draw(st.sets(st.sampled_from(present)), "removed") if present else set()
+    removed |= data.draw(st.sets(pair, max_size=3), "removed, maybe absent")
+    added = data.draw(st.sets(pair, max_size=2 * n), "added")
+    if removed and data.draw(st.booleans(), "re-add a removed pair"):
+        added.add(min(removed))
+    if data.draw(st.booleans(), "directed built"):
+        base.directed_edges
+    if data.draw(st.booleans(), "adjacency built"):
+        base.adjacency
+    before = _fresh_views(base)
+
+    derived = base.edited(removed, added)
+    expected = (base.edges - (removed - added)) | added
+    assert derived.edges == expected
+    assert (derived.edges, derived.directed_edges, derived.adjacency) == _fresh_views(derived)
+    assert (base.edges, base.directed_edges, base.adjacency) == before
+    if not added:  # removals alone, as the paths-respecting rounds make them
+        assert derived == NetworkSnapshot(n, base.edges - removed)
