@@ -173,7 +173,6 @@ def build_ring_failure(
         "seed": seed,
     }
     infra, systems = path_family(metadata)
-    infra.directed_edges  # sorted once; every round's graph splices it
     rng = derive_rng(seed, "ring-failure", n, horizon)
     policies = {
         "round-robin": lambda t: t % n,
@@ -184,13 +183,15 @@ def build_ring_failure(
         raise ValueError(f"unknown policy {policy!r}")
     # Round t removes ring edge (k, k+1 mod n) for its stored k.
     removed = node_array(n, map(policies[policy], range(horizon)))
+
+    def build(k: int) -> NetworkSnapshot:
+        infra.directed_edges  # sorted in the first round; every round's graph splices it
+        return infra.edited([(k, k + 1) if k + 1 < n else (0, k)])
+
     schedule = AdversarySchedule(
         n=n,
         horizon=horizon,
-        rounds=RoundSource(
-            lambda t: removed[t - 1],
-            lambda k: infra.edited([(k, k + 1) if k + 1 < n else (0, k)]),
-        ),
+        rounds=RoundSource(lambda t: removed[t - 1], build),
         mode="oblivious",
         metadata=metadata,
         cyclic_extendable=True,
@@ -243,7 +244,6 @@ def build_center_terminal(
         "seed": seed,
     }
     infra, systems = path_family(metadata)
-    infra.directed_edges  # sorted once; every round's graph splices it
     rng = derive_rng(seed, "center-terminal", n, r, horizon)
     offset = rng.randrange(r)
     # Round t disables centers first, first + 1, ... (mod r) for its stored first.
@@ -251,6 +251,7 @@ def build_center_terminal(
 
     def build(first: int) -> NetworkSnapshot:
         disabled = [(first + i) % r for i in range(fail_count)]
+        infra.directed_edges  # sorted in the first round; every round's graph splices it
         return infra.edited([(c, v) for c in disabled for v in range(r, n)])
 
     schedule = AdversarySchedule(
