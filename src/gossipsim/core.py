@@ -150,13 +150,13 @@ class NetworkSnapshot:
         one pass, additions are inserted by bisection, and only the touched
         nodes' neighbour lists are copied; the others are shared.
         """
-        removed = self.edges.intersection(removed)
         added = frozenset(added)
-        if added:  # a pair both removed and added stays
-            removed -= added
-            added -= self.edges
+        removed = self.edges.intersection(removed) - added  # a pair in both stays
+        added = added - self.edges
         snap = NetworkSnapshot(self.n, ())
-        snap.edges = self.edges.difference(removed).union(added) if added else self.edges - removed
+        snap.edges = self.edges - removed
+        if added:
+            snap.edges |= added
         cut = sorted(p for u, v in removed if u != v for p in ((u, v), (v, u)))
         put = [p for u, v in added if u != v for p in ((u, v), (v, u))]
         if self._directed is not None:
