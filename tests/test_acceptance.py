@@ -458,3 +458,61 @@ def test_criterion_12_determinism():
         if first != second:
             ok = False
     assert report(12, ok)
+
+
+def test_criterion_13_oblivious_line_dilution_at_half_epsilon():
+    """Rand-Diff against the oblivious blocker line at epsilon = 1/2 is held
+    back at least 10x longer than either of criterion 6's controls, and the
+    more so at the larger n.
+
+    Cells: n in {1024, 2304} x seeds 1-3, at most 12n rounds, stopped at the
+    first sentinel arrival at a target node, with criterion 6's three arms:
+    Rand-Diff from the generator's start distribution, flooding one sentinel
+    token (`flood:<n-1>`), and Rand-Diff from the source alone (no scatter).
+    Segments last sqrt(n)/2 rounds (16 and 24); n=2304 has two phases, so
+    its runs cross a phase boundary.
+
+    Bar, per n: the Rand-Diff median is at least 10 times each control's
+    median.  Bar across n: the ratio of the Rand-Diff median to the larger
+    control median grows from n=1024 to n=2304 (measured: about 15 and 36).
+    The crossing as a fraction of the horizon is reported, not gated: the
+    later phase's scatter leaks along the idle line (ROADMAP), so n=2304
+    crosses before its horizon.
+    """
+    arms = {
+        "rand-diff": ("rand-diff", {"kind": "single-source"}),
+        "flood": (None, {"kind": "single-source"}),
+        "no-scatter": ("rand-diff", {"kind": "single-source", "start_holdings": False}),
+    }
+    adversary = {"name": "blocker-oblivious", "epsilon": 0.5}
+    ratios, short, details = [], [], []
+    for n in (1024, 2304):
+        medians = {}
+        for arm, (protocol, initial) in arms.items():
+            config = ExperimentConfig(
+                adversary=adversary,
+                protocol={"name": protocol or f"flood:{n - 1}"},  # n-1 is a sentinel
+                initial=initial,
+                n_list=[n],
+                seeds=[1, 2, 3],
+                max_rounds=12 * n,
+                stop_at_sentinel=True,
+            )
+            rounds = [
+                cell.sentinel_round if cell.sentinel_round is not None else 12 * n
+                for cell in (run_cell(config, n, seed) for seed in config.seeds)
+            ]
+            medians[arm] = median(rounds)
+        controls = [medians["flood"], medians["no-scatter"]]
+        ratios.append(medians["rand-diff"] / max(controls))
+        if medians["rand-diff"] < 10 * max(controls):
+            short.append((n, medians))
+        horizon = BlockerLineParams(n, 1, epsilon=0.5).invasive_horizon()
+        details.append(
+            f"n={n}: {medians} ratio={ratios[-1]:.1f} "
+            f"crossing/horizon={medians['rand-diff'] / horizon:.2f}"
+        )
+    growing = ratios[1] > ratios[0]
+    report(13, not short and growing, "; ".join(details))
+    assert not short, f"Rand-Diff median below 10x a control median at {short}"
+    assert growing, f"the ratio does not grow with n: {ratios}"
