@@ -906,6 +906,42 @@ def test_bfs_distances_match_a_reference_bfs(data):
     assert bfs_distances(snap, sources) == expected
 
 
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_line_directed_edges_match_the_sorted_ones(data):
+    """A line's directed edges equal the generic snapshot's sorted ones,
+    for full and partial line orders (lists and arrays)."""
+    n = data.draw(st.integers(1, 300), "n")
+    order = data.draw(st.permutations(range(n)), "order")
+    order = order[: data.draw(st.integers(0, n), "length")]
+    if data.draw(st.booleans(), "as array"):
+        order = node_array(n, order)
+    line = NetworkSnapshot.line(n, order)
+    generic = NetworkSnapshot(n, zip(order, order[1:]))
+    assert line == generic
+    assert line.directed_edges == generic.directed_edges
+    assert line.directed_edges == sorted(
+        pair for u, v in generic.edges for pair in ((u, v), (v, u))
+    )
+    assert line.adjacency == generic.adjacency
+
+
+@given(connected_graph, st.data())
+@settings(max_examples=60, deadline=None)
+def test_without_matches_a_fresh_snapshot(graph, data):
+    """A graph edited by removals alone, from a base with both caches
+    built, equals a fresh snapshot of what is left."""
+    n, extra = graph
+    base = _connect(n, extra)
+    base.directed_edges, base.adjacency
+    removed = data.draw(st.sets(st.sampled_from(sorted(base.edges))))
+    derived = base.edited(removed)
+    fresh = NetworkSnapshot(n, base.edges - removed)
+    assert derived == fresh
+    assert derived.directed_edges == fresh.directed_edges
+    assert derived.adjacency == fresh.adjacency
+
+
 def _fresh_views(snap):
     fresh = NetworkSnapshot(snap.n, snap.edges)
     return fresh.edges, fresh.directed_edges, fresh.adjacency
