@@ -90,24 +90,38 @@ class SkbPolicy:
     ) -> dict[int, float]:
         raise NotImplementedError
 
-    def sample_round(
-        self, rng: random.Random, round_index: int, state: TokenState
-    ) -> list[tuple[int, int]]:
-        """The round's (node, token) sends: one rng draw for each node
-        holding a token, in ascending node order; a draw past the masses
-        leaves the node idle."""
-        picks = []
+    def step(
+        self, state: TokenState, snapshot: NetworkSnapshot, rng: random.Random
+    ) -> list[Send]:
+        """One round in one pass over the nodes, ascending: each node holding
+        a token makes one rng draw, picks a token from its masses (a draw
+        past them leaves it idle) and broadcasts it.
+
+        Sends where the receiver already holds the token are omitted from the
+        plan; they would be no-ops under store-copy-forward semantics.
+        """
+        plan: list[Send] = []
+        adjacency = snapshot.adjacency
+        member = state.member
         arrivals = state.arrivals
+        round_index = state.current_round + 1
         for node, seq in enumerate(state.holdings_seq):
-            if seq:
-                masses = self.masses(round_index, node, arrivals[node])
-                x, acc = rng.random(), 0.0
-                for tok in sorted(masses):
-                    acc += masses[tok]
-                    if x < acc:
-                        picks.append((node, tok))
-                        break
-        return picks
+            if not seq:
+                continue
+            masses = self.masses(round_index, node, arrivals[node])
+            x, acc = rng.random(), 0.0
+            for tok in sorted(masses):
+                acc += masses[tok]
+                if x < acc:
+                    for nb in adjacency[node]:
+                        try:
+                            if member[nb][tok]:
+                                continue
+                        except IndexError:  # past the row's end: not held
+                            pass
+                        plan.append((node, nb, tok))
+                    break
+        return plan
 
 
 class UniformSkbPolicy(SkbPolicy):
@@ -121,21 +135,32 @@ class UniformSkbPolicy(SkbPolicy):
         w = 1.0 / len(arrivals)
         return {tok: w for tok in arrivals}
 
-    def sample_round(self, rng, round_index, state):
+    def step(self, state, snapshot, rng):
         # A uniform index into the arrival order: `rng._randbelow(m)`, which
         # is randrange(m)'s draw, inlined with its getrandbits rejection loop
-        # so the stream stays the same.
+        # so the stream stays the same.  A node draws even when every
+        # neighbour holds its pick.
+        plan: list[Send] = []
+        adjacency = snapshot.adjacency
+        member = state.member
         getrandbits = rng.getrandbits
-        picks = []
         for node, seq in enumerate(state.holdings_seq):
             m = len(seq)
-            if m:
-                k = m.bit_length()
+            if not m:
+                continue
+            k = m.bit_length()
+            r = getrandbits(k)
+            while r >= m:
                 r = getrandbits(k)
-                while r >= m:
-                    r = getrandbits(k)
-                picks.append((node, seq[r]))
-        return picks
+            tok = seq[r]
+            for nb in adjacency[node]:
+                try:
+                    if member[nb][tok]:
+                        continue
+                except IndexError:  # past the row's end: not held
+                    pass
+                plan.append((node, nb, tok))
+        return plan
 
 
 def uniform_skb() -> SkbPolicy:
@@ -184,33 +209,6 @@ def check_skb_policy(
     return PolicyCheck(not violations, violations)
 
 
-def skb_step(
-    policy: SkbPolicy,
-    state: TokenState,
-    snapshot: NetworkSnapshot,
-    rng: random.Random,
-) -> list[Send]:
-    """Each node samples at most one held token and broadcasts it.
-
-    Sends where the receiver already holds the token are omitted from the
-    plan; they would be no-ops under store-copy-forward semantics.  Draws are
-    made in ascending node order.
-    """
-    plan: list[Send] = []
-    adjacency = snapshot.adjacency
-    member = state.member
-    picks = policy.sample_round(rng, state.current_round + 1, state)
-    for node, tok in picks:
-        for nb in adjacency[node]:
-            try:
-                if member[nb][tok]:
-                    continue
-            except IndexError:  # past the row's end: not held
-                pass
-            plan.append((node, nb, tok))
-    return plan
-
-
 # ---------------------------------------------------------------------------
 # Flooding
 
@@ -251,7 +249,7 @@ class SkbProtocol:
         self.name = policy.name
 
     def plan_round(self, state, snapshot, rng):
-        return skb_step(self.policy, state, snapshot, rng)
+        return self.policy.step(state, snapshot, rng)
 
 
 class Flood:

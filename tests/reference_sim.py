@@ -1,10 +1,12 @@
 """Straight-line reference simulator, independent of the package internals.
 
-Implements the round contract directly over dicts of sets: per round, every
-directed edge carries one token drawn uniformly from the sender-minus-
-receiver difference (ascending directed-edge draw order, per-round rng
-derived by the same published keying rule).  Used as the oracle for engine
-completion values; kept free of gossipsim imports on purpose.
+Implements the round contract directly over dicts of sets, with a per-round
+rng derived by the same published keying rule.  Rand-Diff: every directed
+edge carries one token drawn uniformly from the sender-minus-receiver
+difference, in ascending directed-edge draw order.  skb-uniform: every node
+holding tokens, in ascending order, draws one of them uniformly by arrival
+position and broadcasts it.  Used as the oracle for engine completion values
+and skb arrival orders; kept free of gossipsim imports on purpose.
 """
 
 import hashlib
@@ -44,3 +46,49 @@ def reference_rand_diff_completion(n, edges, holdings, max_rounds, seed):
         if all(sets[v] == universe for v in range(n)):
             return t
     return None
+
+
+def reference_skb_uniform_run(n, rounds_edges, holdings, insertions, seed):
+    """skb-uniform for `len(rounds_edges)` rounds; round t's undirected
+    edges are `rounds_edges[t - 1]`.
+
+    `holdings` maps node -> its round-0 tokens in arrival order;
+    `insertions` holds (round, node, token) triples.  Round-0 insertions
+    land before round 1; the others land after their round's sends, by
+    ascending node and token.  Every send is decided from the state at the
+    start of its round.  Returns the per-round counts of new (node, token)
+    arrivals and, per node, its (token, round) arrivals in order.
+    """
+    arrivals = {v: [(tok, 0) for tok in holdings.get(v, ())] for v in range(n)}
+    held = {v: {tok for tok, _ in arrivals[v]} for v in range(n)}
+    inserted = {}
+    for t, node, tok in sorted(insertions):
+        inserted.setdefault(t, []).append((node, tok))
+
+    def land(node, tok, t):
+        if tok in held[node]:
+            return 0
+        held[node].add(tok)
+        arrivals[node].append((tok, t))
+        return 1
+
+    for node, tok in inserted.get(0, ()):
+        land(node, tok, 0)
+    per_round = []
+    for t, edges in enumerate(rounds_edges, 1):
+        rng = _round_rng(seed, t)
+        neighbours = {v: set() for v in range(n)}
+        for u, v in edges:
+            if u != v:
+                neighbours[u].add(v)
+                neighbours[v].add(u)
+        sends = []
+        for v in range(n):
+            if arrivals[v]:
+                # randrange(m) is the engine's `_randbelow(m)` draw
+                tok = arrivals[v][rng.randrange(len(arrivals[v]))][0]
+                sends += [(nb, tok) for nb in sorted(neighbours[v]) if tok not in held[nb]]
+        new = sum(land(nb, tok, t) for nb, tok in sends)
+        new += sum(land(node, tok, t) for node, tok in inserted.get(t, ()))
+        per_round.append(new)
+    return per_round, arrivals

@@ -24,7 +24,6 @@ from gossipsim.protocols import (
     flood_step,
     get_protocol,
     rand_diff_step,
-    skb_step,
     sym_diff_step,
     uniform_skb,
 )
@@ -125,12 +124,12 @@ class TestSymDiff:
 class TestSkb:
     def test_single_token_broadcast(self):
         state = two_node_state([0], [])
-        plan = skb_step(uniform_skb(), state, EDGE, derive_rng(0))
+        plan = uniform_skb().step(state, EDGE, derive_rng(0))
         assert plan == [(0, 1, 0)]
 
     def test_empty_node_never_sends(self):
         state = two_node_state([], [0])
-        plan = skb_step(uniform_skb(), state, EDGE, derive_rng(0))
+        plan = uniform_skb().step(state, EDGE, derive_rng(0))
         assert all(send[0] != 0 for send in plan)
 
     def test_uniform_frequencies(self):
@@ -139,7 +138,7 @@ class TestSkb:
         star = NetworkSnapshot(2, [(0, 1)])
         for trial in range(trials):
             state = two_node_state([0, 1, 2, 3], [])
-            plan = skb_step(uniform_skb(), state, star, derive_rng("k", trial))
+            plan = uniform_skb().step(state, star, derive_rng("k", trial))
             sent = {send[2] for send in plan if send[0] == 0}
             assert len(sent) == 1
             counts[sent.pop()] += 1
@@ -151,7 +150,7 @@ class TestSkb:
         n = 6
         snap = NetworkSnapshot(n, [(i, (i + 1) % n) for i in range(n)])
         state = TokenState(n, TokenUniverse(n, n), {v: [v, (v + 1) % n] for v in range(n)})
-        plan = skb_step(uniform_skb(), state, snap, derive_rng(9))
+        plan = uniform_skb().step(state, snap, derive_rng(9))
         per_node_tokens = {}
         for u, _, tok in plan:
             per_node_tokens.setdefault(u, set()).add(tok)
@@ -161,20 +160,26 @@ class TestSkb:
         n = 4
         star = NetworkSnapshot(n, [(0, v) for v in range(1, n)])
         state = TokenState(n, TokenUniverse(1, 1), {0: [0]})
-        plan = skb_step(uniform_skb(), state, star, derive_rng(2))
+        plan = uniform_skb().step(state, star, derive_rng(2))
         assert sorted(plan) == [(0, v, 0) for v in range(1, n)]
 
 
     def test_uniform_round_draw_is_randbelow(self):
-        # One node per list length m = 1..5000; each pick must be the
-        # stream's `_randbelow(m)`, and the streams must end in step.
+        # One node per list length m = 1..5000, each beside a sink that
+        # holds nothing, so every pick shows as a send; each pick must be
+        # the stream's `_randbelow(m)`, and the streams must end in step.
         lengths = range(1, 5001)
+        sink = len(lengths)
+        # skb-uniform reads only the arrival orders, membership rows and
+        # adjacency
+        state = SimpleNamespace(
+            holdings_seq=[range(m) for m in lengths] + [()], member=[b""] * (sink + 1)
+        )
+        snap = SimpleNamespace(adjacency=[[sink]] * sink + [[]])
         for key in range(4):
             rng, ref = derive_rng("skb-draw", key), derive_rng("skb-draw", key)
-            # skb-uniform reads only the state's arrival-order sequences
-            state = SimpleNamespace(holdings_seq=[range(m) for m in lengths])
-            picks = uniform_skb().sample_round(rng, 1, state)
-            assert picks == [(i, ref._randbelow(m)) for i, m in enumerate(lengths)]
+            plan = uniform_skb().step(state, snap, rng)
+            assert plan == [(i, sink, ref._randbelow(m)) for i, m in enumerate(lengths)]
             assert rng.random() == ref.random()
 
     def test_uniform_round_draw_skips_empty_nodes(self):
@@ -182,8 +187,8 @@ class TestSkb:
         state = TokenState(4, TokenUniverse(8, 8))
         for node, tok in [(1, 7), (1, 3), (3, 5)]:  # node 1's arrival order: 7, 3
             state.add_mask(node, 1 << tok, 0)
-        picks = uniform_skb().sample_round(rng, 1, state)
-        assert picks == [(1, [7, 3][ref._randbelow(2)]), (3, 5)]
+        plan = uniform_skb().step(state, NetworkSnapshot(4, [(0, 1), (2, 3)]), rng)
+        assert plan == [(1, 0, [7, 3][ref._randbelow(2)]), (3, 2, 5)]
         ref._randbelow(1)  # a single held token still costs a draw
         assert rng.random() == ref.random()
 
@@ -201,8 +206,10 @@ class TestSkb:
         run = EngineRun(AdversarySchedule(n, 1, [snap]), state, seed=0, max_rounds=1)
         run.execute([(0, 1, 0)])
         rng, ref = derive_rng("masses"), derive_rng("masses")
-        picks = Newest().sample_round(rng, 2, state)
-        assert picks == [(1, 0)]  # node 0 holds only a round-0 token: idle
+        plan = Newest().step(state, snap, rng)
+        # node 0 holds only a round-0 token: idle; node 1 sends its round-1
+        # token 0 to node 2 only, since node 0 holds it
+        assert plan == [(1, 2, 0)]
         ref.random(), ref.random()
         assert rng.random() == ref.random()
 
@@ -354,15 +361,15 @@ def reference_sym_diff(state, snapshot, rng):
 
 
 def reference_skb(state, snapshot, rng):
-    """skb-uniform's picks, each broadcast to the neighbours that do not
-    hold the token by `state.holds`."""
-    picks = uniform_skb().sample_round(rng, state.current_round + 1, state)
-    return [
-        (node, nb, tok)
-        for node, tok in picks
-        for nb in snapshot.adjacency[node]
-        if not state.holds(nb, tok)
-    ]
+    """skb-uniform from arrival orders: in ascending node order, each node
+    holding m > 0 tokens picks `holdings_seq[v][rng._randbelow(m)]` and
+    sends it to each neighbour that does not hold it by `state.holds`."""
+    plan = []
+    for node, seq in enumerate(state.holdings_seq):
+        if seq:
+            tok = seq[rng._randbelow(len(seq))]
+            plan += [(node, nb, tok) for nb in snapshot.adjacency[node] if not state.holds(nb, tok)]
+    return plan
 
 
 def reference_flood(token, state, snapshot):
@@ -395,11 +402,47 @@ def test_steps_on_short_rows_match_set_references(n, size, seed):
     snap = NetworkSnapshot(n, set(zip(order, order[1:])) | extra)
     ours, ref = derive_rng("draw", seed), derive_rng("draw", seed)
     assert sym_diff_step(state, snap, ours) == reference_sym_diff(state, snap, ref)
-    assert skb_step(uniform_skb(), state, snap, ours) == reference_skb(state, snap, ref)
+    assert uniform_skb().step(state, snap, ours) == reference_skb(state, snap, ref)
     assert ours.random() == ref.random()  # the streams stay in step
     held = sorted({t for tokens in holdings.values() for t in tokens})
     for token in [-1, 0, size - 1, size, *rng.sample(held, min(5, len(held)))]:
         assert flood_step(token, state, snap) == reference_flood(token, state, snap)
+
+
+@given(st.integers(4, 30), st.integers(1, 3000), st.integers(0, 2**32))
+@settings(max_examples=80, deadline=None)
+def test_uniform_step_matches_randbelow_reference(n, size, seed):
+    """skb-uniform's one-pass plan equals `reference_skb`, and the streams
+    end in step, on graphs with a node of degree above 2 and the cases a
+    one-pass draw must not skip or misread: a node whose neighbours all hold
+    every token it holds (it still draws), a node holding a single token
+    (the highest id, past short rows), an empty node beside holders (an
+    empty row), and banded short rows elsewhere."""
+    rng = derive_rng("one-pass", seed)
+    order = list(range(n))
+    rng.shuffle(order)
+    dead, _, empty, single = order[:4]
+    apart = {frozenset((dead, empty)), frozenset((dead, single))}
+    pairs = set(zip(order, order[1:]))  # dead - x - empty - single - ...
+    pairs |= {(dead, v) for v in rng.sample(order[4:], min(3, n - 4))}
+    pairs |= {tuple(rng.sample(range(n), 2)) for _ in range(n // 2)}
+    snap = NetworkSnapshot(n, [p for p in pairs if frozenset(p) not in apart])
+    holdings = {}
+    for v in range(n):
+        if rng.random() < 0.7:
+            low = rng.randrange(size)
+            band = range(low, min(size, low + rng.randrange(1, 80)))
+            holdings[v] = [t for t in band if rng.random() < 0.5] or [low]
+    holdings.pop(empty, None)
+    holdings[single] = [size - 1]
+    holdings.setdefault(dead, [rng.randrange(size)])
+    for nb in snap.adjacency[dead]:
+        holdings[nb] = sorted(set(holdings.get(nb, ())) | set(holdings[dead]))
+    state = TokenState(n, TokenUniverse(size, size), holdings)
+    assert len(snap.adjacency[dead]) > 2 or n < 6
+    ours, ref = derive_rng("draw", seed), derive_rng("draw", seed)
+    assert uniform_skb().step(state, snap, ours) == reference_skb(state, snap, ref)
+    assert ours.random() == ref.random()  # the streams stay in step
 
 
 class TestInformationDiscipline:

@@ -1,8 +1,11 @@
 """Blocker-set line adversary structure."""
 
 import pytest
+from reference_sim import reference_skb_uniform_run
 
-from gossipsim.core import validate_snapshot
+from gossipsim.core import run_simulation, validate_snapshot
+from gossipsim.harness import build_schedule, initial_state
+from gossipsim.protocols import get_protocol
 from gossipsim.skb_adversary import SkbAdversaryParams, build_skb_adversary, icbrt
 
 
@@ -107,3 +110,22 @@ class TestSchedule:
         b = build_skb_adversary(SkbAdversaryParams(64, seed=6))
         assert a.insertions == b.insertions
         assert [s.edges for s in snapshots(a)] == [s.edges for s in snapshots(b)]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("n", [64, 256])
+def test_skb_uniform_run_matches_reference(n, seed):
+    """skb-uniform on skb-blocker over the whole horizon, as the harness
+    runs it, against the straight-line oracle: the same new arrivals per
+    round, and the same tokens in the same order and rounds at every node."""
+    schedule = build_schedule({"name": "skb-blocker"}, n, seed)
+    state = initial_state({"kind": "single-source"}, n, schedule)
+    start = {v: list(state.holdings_seq[v]) for v in range(n)}
+    rounds = schedule.horizon
+    edges = [sorted(schedule.snapshot_at(t).edges) for t in range(1, rounds + 1)]
+    insertions = [tuple(ev) for ev in schedule.insertions]
+    result = run_simulation(schedule, get_protocol("skb-uniform"), state, rounds, seed)
+    per_round, arrivals = reference_skb_uniform_run(n, edges, start, insertions, seed)
+    assert result.rounds_executed == rounds
+    assert result.per_round_new_arrivals == per_round
+    assert {v: list(zip(state.holdings_seq[v], state.when[v])) for v in range(n)} == arrivals
