@@ -242,6 +242,8 @@ def _flood_token(run: EngineRun, token: int, max_rounds: int) -> int:
         arrivals = run.execute(plan)
         used += 1
         holders += sum(1 for tok, _ in arrivals if tok == token)
+        for _, mask in run.inserted:
+            holders += mask >> token & 1
     return used
 
 
@@ -454,6 +456,8 @@ def k_gossip_centralized(
                 for tok, node in arrivals:
                     if tok in group_set:
                         counts[node] += 1
+                for node, mask in run.inserted:
+                    counts[node] += (mask & group_mask).bit_count()
             logs.append(StageLog(f"{tag}-exchange", run.rounds_executed - start))
             if run.complete():
                 break

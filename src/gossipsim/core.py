@@ -640,13 +640,13 @@ class TokenState:
             new.append((token, node))
         return new
 
-    def add_mask(self, node: int, mask: int, rnd: int) -> list[int]:
-        """Add a token set at once; returns its newly held tokens, which are
-        appended in ascending order."""
+    def add_mask(self, node: int, mask: int, rnd: int) -> int:
+        """Add a token set at once; returns the mask of its newly held
+        tokens (0 if none), which are appended in ascending order."""
         held = self.holdings[node]
         new = mask ^ (mask & held)
         if not new:
-            return []
+            return 0
         if new.bit_length() > self.universe.size:
             raise ValueError(f"token {new.bit_length() - 1} outside universe {self.universe}")
         tokens = mask_tokens(new)
@@ -664,7 +664,7 @@ class TokenState:
         self.holdings_seq[node].fromlist(tokens)
         self.when[node].fromlist([rnd] * len(tokens))
         self._real_counts[node] += (new & ((1 << self.universe.real_count) - 1)).bit_count()
-        return tokens
+        return new
 
     @property
     def arrivals(self) -> list[ArrivalView]:
@@ -790,9 +790,12 @@ class EngineRun:
         self._complete_nodes = 0
         self._note_completions(range(state.n), 0)
         # Round-0 insertions land before the first round with arrival time 0.
-        self._note_completions(
-            [node for node, mask in schedule.insertions_at(0) if state.add_mask(node, mask, 0)], 0
-        )
+        self.inserted: list[tuple[int, int]] = [
+            (node, new)
+            for node, mask in schedule.insertions_at(0)
+            if (new := state.add_mask(node, mask, 0))
+        ]
+        self._note_completions([node for node, _ in self.inserted], 0)
 
     def _note_completions(self, receivers: Iterable[int], t: int) -> None:
         """Record round t for the receivers that hold every real token now."""
@@ -834,8 +837,10 @@ class EngineRun:
 
         Raises PlanError (before anything changes) if the plan is invalid.
         New arrivals are recorded at the executed round index; nothing is
-        ever removed.  Returns the new (token, node) arrivals: the sends' in
-        plan order, then the insertions' by ascending node and token.
+        ever removed.  Returns the sends' new (token, node) arrivals in plan
+        order.  The insertions that added tokens are kept in `inserted` as
+        ascending (node, new-token mask) pairs, never expanded per token;
+        `per_round_new_arrivals` counts both.
         """
         t = self.next_round
         if t > self.max_rounds:
@@ -843,18 +848,21 @@ class EngineRun:
         snapshot = self.schedule.snapshot_at(t)
         state = self.state
         validate_plan(plan, snapshot, state)
-        new_arrivals = state._add_sends(plan, t)
+        sent = state._add_sends(plan, t)
         # Nodes to check for completion: one per send arrival, one per mask.
-        receivers = [v for _, v in new_arrivals]
+        receivers = [v for _, v in sent]
+        count = len(sent)
+        self.inserted = inserted = []
         for node, mask in self.schedule.insertions_at(t):
-            tokens = state.add_mask(node, mask, t)
-            if tokens:
-                new_arrivals.extend(zip(tokens, repeat(node)))
+            new = state.add_mask(node, mask, t)
+            if new:
+                inserted.append((node, new))
                 receivers.append(node)
+                count += new.bit_count()
         state.current_round = t
         self._note_completions(receivers, t)
-        self.per_round_new_arrivals.append(len(new_arrivals))
-        return new_arrivals
+        self.per_round_new_arrivals.append(count)
+        return sent
 
     def result(self, stopped_early: bool = False) -> SimulationResult:
         done = self.complete()
@@ -870,7 +878,10 @@ class EngineRun:
         )
 
 
-StopHook = Callable[[TokenState, int, list], bool]
+StopHook = Callable[[TokenState, int, list, list], bool]
+"""`stop_when(state, round, sent, inserted)`: called after each executed
+round with `EngineRun.execute`'s (token, node) send arrivals and the round's
+`EngineRun.inserted` (node, new-token mask) pairs; True ends the run."""
 
 
 def run_simulation(
@@ -889,8 +900,11 @@ def run_simulation(
     derived from the run seed, never from the schedule's generation seed, and
     draws within a round follow the protocol's canonical order.
 
-    `stop_when(state, round, new_arrivals)` may end the run early (used for
-    sentinel-arrival measurements); the result is then marked stopped_early.
+    `stop_when(state, round, sent, inserted)` may end the run early (used
+    for sentinel-arrival measurements): `sent` is the round's (token, node)
+    send arrivals and `inserted` its (node, new-token mask) insertions, as
+    `EngineRun.execute` and `EngineRun.inserted` give them.  The result is
+    then marked stopped_early.
     """
     run = EngineRun(schedule, initial, seed, max_rounds)
     stopped = False
@@ -898,8 +912,10 @@ def run_simulation(
         snapshot = run.current_snapshot()
         rng = run.round_rng()
         plan = protocol.plan_round(run.state, snapshot, rng)
-        arrivals = run.execute(plan)
-        if stop_when is not None and stop_when(run.state, run.rounds_executed, arrivals):
+        sent = run.execute(plan)
+        if stop_when is not None and stop_when(
+            run.state, run.rounds_executed, sent, run.inserted
+        ):
             stopped = True
             break
     return run.result(stopped_early=stopped)

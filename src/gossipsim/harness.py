@@ -176,13 +176,19 @@ def sentinel_round_from_state(state: TokenState, metadata: dict) -> int | None:
 
 
 def make_sentinel_stop(metadata: dict):
+    """Stop hook for `run_simulation`: true once a round's sends or
+    insertions bring a metadata-designated sentinel token to a target node.
+    Insertions are tested as (node, new-token mask) pairs, never per token."""
     sentinels = set(metadata.get("sentinel_tokens") or ())
     targets = set(metadata.get("target_nodes") or ())
     if not sentinels or not targets:
         return None
+    sentinel_mask = token_mask(sentinels)
 
-    def stop(state, round_index, new_arrivals):
-        return not targets.isdisjoint([node for tok, node in new_arrivals if tok in sentinels])
+    def stop(state, round_index, sent, inserted):
+        return any(node in targets and mask & sentinel_mask for node, mask in inserted) or (
+            not targets.isdisjoint([node for tok, node in sent if tok in sentinels])
+        )
 
     return stop
 

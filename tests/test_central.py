@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from gossipsim.blocker_line import BlockerLineParams, build_blocker_line_invasive
 from gossipsim.central import (
     CentralParams,
     ItemPool,
@@ -19,6 +20,7 @@ from gossipsim.core import (
     TokenState,
     TokenUniverse,
     derive_rng,
+    token_mask,
 )
 from gossipsim.paths import build_ring_failure
 from gossipsim.random_schedules import build_random_interval_connected
@@ -333,3 +335,39 @@ class TestKGossipOnPathFamilies:
         outcome = k_gossip_centralized(run, k, CentralParams(mode="staged"))
         assert outcome.stalled is None
         assert outcome.result.completion_round is not None
+
+
+class TestKGossipOnInvasiveSchedules:
+    @pytest.mark.parametrize("mode, completion", [("staged", 13198), ("naive", 15746)])
+    def test_counts_include_inserted_tokens(self, mode, completion):
+        """The invasive line inserts tokens while k-gossip runs; a flood's
+        holder count (staged consolidation and residual floods, naive
+        floods) takes them in with the sent ones.  Counting only sends gave
+        13205 rounds (staged) and 15885 (naive)."""
+        n = 144
+        schedule = build_blocker_line_invasive(BlockerLineParams(n, 1))
+        universe = kgossip_universe(n, n)
+        source = schedule.metadata["source"]
+        run = fresh_run(schedule, {source: range(universe.size)}, universe, seed=1)
+        outcome = k_gossip_centralized(run, n, CentralParams(mode=mode))
+        assert outcome.stalled is None
+        assert outcome.result.completion_round == completion
+
+    def test_exchange_counts_include_inserted_tokens(self):
+        """One token per node on a static 36-cycle: the staged exchange of
+        group 0 starts in round 764, and with c_ex = 0.02 it runs until a
+        node holds 35 group tokens.  Inserting 34 of them at node 0 in that
+        round (it holds token 0) ends the exchange after one round.
+        Counting only sent arrivals ran it for 4 rounds."""
+        n = 36
+        masks = {764: [(0, token_mask(range(1, n - 1)))]}
+        schedule = AdversarySchedule(
+            n, 1, [NetworkSnapshot(n, [(i, (i + 1) % n) for i in range(n)])], masks, "invasive",
+            cyclic_extendable=True,
+        )
+        run = fresh_run(schedule, {v: [v] for v in range(n)}, TokenUniverse(n, n), seed=1)
+        outcome = k_gossip_centralized(run, n, CentralParams(mode="staged", c_ex=0.02))
+        rounds = {log.stage: log.rounds for log in outcome.stage_logs}
+        assert rounds["group-0-consolidation"] + rounds["group-0-distribution"] == 763
+        assert rounds["group-0-exchange"] == 1
+        assert outcome.stalled is None and outcome.result.completion_round == 953

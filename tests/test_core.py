@@ -618,7 +618,10 @@ def test_insertion_masks_apply_like_per_token_events(data):
     """A schedule built from (round, node, token) events, applied through its
     masks, gives the per-token oracle's state, arrivals and completions.
     The oracle applies each round's sends in plan order, then the round's
-    distinct events in ascending (node, token) order."""
+    distinct events in ascending (node, token) order.  Per round, `execute`
+    returns the sends' new arrivals, `inserted` holds the events' new tokens
+    as ascending (node, mask) pairs, and `per_round_new_arrivals` counts
+    both."""
     n = data.draw(st.integers(2, 5), "n")
     size = data.draw(st.integers(1, 8), "size")
     real = data.draw(st.integers(1, size), "real")
@@ -642,12 +645,20 @@ def test_insertion_masks_apply_like_per_token_events(data):
             if node not in completion and all(x in arrivals[node] for x in range(real)):
                 completion[node] = t
 
+    def as_masks(added):
+        masks = {}
+        for token, node in added:
+            masks[node] = masks.get(node, 0) | 1 << token
+        return sorted(masks.items())
+
     setup = []
     for node in range(n):
         for token in sorted(initial.get(node, ())):
             land(node, token, 0, setup)
+    added = []
     for _, node, token in sorted({ev for ev in events if ev[0] == 0}):
-        land(node, token, 0, setup)
+        land(node, token, 0, added)
+    setup_inserted = as_masks(added)
     edges = [(u, v) for u in range(n) for v in range(n) if u != v]
     plans, expected = [], []
     for t in range(1, rounds + 1):
@@ -658,13 +669,13 @@ def test_insertion_masks_apply_like_per_token_events(data):
         # a token that also arrives by a send in the same round
         for u, v, token in plan[: data.draw(st.integers(0, 2))]:
             events.append((t, v, token))
-        new = []
+        sent, added = [], []
         for u, v, token in plan:
-            land(v, token, t, new)
+            land(v, token, t, sent)
         for _, node, token in sorted({ev for ev in events if ev[0] == t}):
-            land(node, token, t, new)
+            land(node, token, t, added)
         plans.append(plan)
-        expected.append(new)
+        expected.append((sent, as_masks(added), len(sent) + len(added)))
 
     snap = NetworkSnapshot(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
     schedule = AdversarySchedule(n, rounds, [snap] * rounds, masks_of(events), "invasive")
@@ -672,13 +683,41 @@ def test_insertion_masks_apply_like_per_token_events(data):
     assert list(schedule.insertions) == sorted(set(events))
     state = TokenState(n, TokenUniverse(size, real), initial)
     run = EngineRun(schedule, state, seed=0, max_rounds=rounds)
-    got = [run.execute(plan) for plan in plans]
+    assert run.inserted == setup_inserted
+    got = []
+    for plan in plans:
+        sent = run.execute(plan)
+        got.append((sent, run.inserted, run.per_round_new_arrivals[-1]))
     assert got == expected
     assert [list(s) for s in state.holdings_seq] == seq
     assert [list(w) for w in state.when] == [list(a.values()) for a in arrivals]
     assert state.arrivals == arrivals
     assert run.per_node_completion == completion
     assert state.holdings == [token_mask(a) for a in arrivals]
+
+
+def test_right_line_completion_round_keeps_insertions_as_masks():
+    """The invasive line at n=1024 (seed 1) completes its right line in its
+    last round: its 923 target nodes gain 26,031 tokens of the 32-token
+    blocker group (the scatter already gave some of them part of it).
+    Executing that round traced a 0.90 MB peak with the insertions kept as
+    (node, mask) pairs; one (token, node) tuple per inserted token traced
+    2.38 MB."""
+    schedule = build_blocker_line_invasive(BlockerLineParams(1024, 1))
+    targets = schedule.metadata["target_nodes"]
+    state = initial_state({"kind": "single-source"}, 1024, schedule)
+    run = EngineRun(schedule, state, seed=1, max_rounds=schedule.horizon)
+    while run.next_round < schedule.horizon:
+        run.execute([])
+    tracemalloc.start()
+    try:
+        sent = run.execute([])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sent == [] and [node for node, _ in run.inserted] == sorted(targets)
+    assert run.per_round_new_arrivals[-1] == 26031
+    assert peak < 1.5 * 2**20
 
 
 # DGS1 exports pinned byte for byte: the invasive and skb schedules as the

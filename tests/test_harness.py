@@ -3,10 +3,18 @@
 import csv
 import hashlib
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from gossipsim.cli import main as cli_main
+from gossipsim.core import (
+    AdversarySchedule,
+    NetworkSnapshot,
+    TokenState,
+    TokenUniverse,
+    run_simulation,
+)
 from gossipsim.dgs1 import schedule_to_text
 from gossipsim.harness import (
     CSV_HEADER,
@@ -16,6 +24,7 @@ from gossipsim.harness import (
     fit_loglog_slope,
     initial_state,
     load_trace,
+    make_sentinel_stop,
     measure_blocker_separation,
     run_cell,
     run_experiment,
@@ -221,6 +230,31 @@ class TestSentinelPlumbing:
         assert rnd == cell.sentinel_round
         assert node in meta["target_nodes"] and tok in meta["sentinel_tokens"]
         assert cell.result.final_state.arrivals[node][tok] == rnd
+
+    def test_stop_hook_reads_inserted_masks(self):
+        """Inserted (node, new-token mask) pairs stop the run only when a
+        sentinel lands at a target; sends are tested per (token, node)."""
+        stop = make_sentinel_stop({"sentinel_tokens": [5, 6], "target_nodes": [2, 3]})
+        assert stop(None, 1, [], [(0, 1 << 1), (3, 1 << 4 | 1 << 6)])
+        assert not stop(None, 1, [], [(1, 1 << 5 | 1 << 6), (4, 1 << 6)])  # non-targets
+        assert not stop(None, 1, [], [(2, 1 << 4 | 1 << 7), (3, 1)])  # non-sentinels
+        assert not stop(None, 1, [], [])
+        assert stop(None, 1, [(5, 2)], [])
+        assert not stop(None, 1, [(5, 1), (4, 2)], [(2, 1 << 4)])
+
+    def test_run_stops_at_an_inserted_sentinel(self):
+        """A sentinel inserted at a target ends the run in its round; one
+        inserted at a non-target, and another token at a target, do not."""
+        n = 4
+        snap = NetworkSnapshot(n, [(i, i + 1) for i in range(n - 1)])
+        masks = {1: [(0, 1 << 3)], 2: [(3, 1 << 1)], 3: [(0, 1 << 2), (3, 1 << 3)]}
+        metadata = {"sentinel_tokens": [3], "target_nodes": [3]}
+        schedule = AdversarySchedule(n, 5, [snap] * 5, masks, "invasive", metadata)
+        state = TokenState(n, TokenUniverse(4, 4), {0: [0]})
+        idle = SimpleNamespace(plan_round=lambda state, snapshot, rng: [])
+        result = run_simulation(schedule, idle, state, 5, 1, make_sentinel_stop(metadata))
+        assert result.stopped_early and result.rounds_executed == 3
+        assert first_sentinel_crossing(state, metadata) == (3, 3, 3)
 
     def test_trace_round_trip(self, tmp_path):
         config = flood_config()
