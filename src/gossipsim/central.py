@@ -235,15 +235,10 @@ def _flood_token(run: EngineRun, token: int, max_rounds: int) -> int:
     """Flood one token until universal or the round allowance ends; returns
     rounds used."""
     state = run.state
-    holders = _holders(state, token)
     used = 0
-    while holders < state.n and used < max_rounds:
-        plan = flood_step(token, state, run.current_snapshot())
-        arrivals = run.execute(plan)
+    while _holders(state, token) < state.n and used < max_rounds:
+        run.execute(flood_step(token, state, run.current_snapshot()))
         used += 1
-        holders += sum(1 for tok, _ in arrivals if tok == token)
-        for _, mask in run.inserted:
-            holders += mask >> token & 1
     return used
 
 
@@ -258,8 +253,9 @@ def n_broadcast(
     Runs stages of distribute-then-exchange phases: each phase load-balances
     one item per token over the currently non-full nodes, then runs n greedy
     exchange rounds.  Stage count is capped at ceil(c_stage * log2 n) and
-    phases per stage at ceil(c_phase * sqrt(n) * log2 n); exhausting the caps
-    yields a marked outcome, never a silent loop.  The broadcast also ends,
+    phases per stage at ceil(c_phase * sqrt(n) * log2 n); exhausting the caps,
+    the round budget or a load balance's safety allowance yields a marked
+    outcome, never a silent loop or an escaping error.  The broadcast also ends,
     as done, once the run is complete: dummy tokens of the set (k-gossip
     padding) that are not yet everywhere are left where they are.
     """
@@ -317,6 +313,8 @@ def n_broadcast(
         return BroadcastOutcome(done, None if done else "stage-budget", logs)
     except RoundBudgetExhausted:
         return BroadcastOutcome(False, "round-budget", logs)
+    except LoadBalanceStalled:
+        return BroadcastOutcome(False, "load-balance-stalled", logs)
 
 
 def reduce_k_to_n(k: int, n: int) -> tuple[list[list[int]], list[int]]:
@@ -359,8 +357,8 @@ def k_gossip_centralized(
       floods and load-balances of a stage, and between n_broadcast's
       load-balances and exchange rounds.
 
-    Stalls (cover too large, exchange cap, round budget) yield a marked
-    outcome identifying the stage.
+    Stalls (cover too large, exchange cap, round budget, a stalled load
+    balance) yield a marked outcome identifying the stage.
     """
     strategy = params.mode
     if strategy not in ("naive", "staged"):
@@ -391,7 +389,6 @@ def k_gossip_centralized(
         for g_index, group in enumerate(groups):
             if run.complete():
                 break
-            group_set = set(group)
             group_mask = token_mask(group)
             tag = f"group-{g_index}"
 
@@ -445,24 +442,20 @@ def k_gossip_centralized(
 
             threshold = n - math.ceil(params.c_ex * math.sqrt(n) * log2n)
             exchange_cap = math.ceil(params.c_cap * n * math.sqrt(n) * log2n)
-            counts = [(h & group_mask).bit_count() for h in holdings]
             start = run.rounds_executed
-            while max(counts) < threshold and not run.complete():
+            while (
+                max((h & group_mask).bit_count() for h in holdings) < threshold
+                and not run.complete()
+            ):
                 if run.rounds_executed - start >= exchange_cap:
                     logs.append(StageLog(f"{tag}-exchange", run.rounds_executed - start))
                     return GossipOutcome(run.result(), logs, f"{tag}-exchange-cap", strategy)
-                plan = greedy_exchange_round(state, run.current_snapshot(), group)
-                arrivals = run.execute(plan)
-                for tok, node in arrivals:
-                    if tok in group_set:
-                        counts[node] += 1
-                for node, mask in run.inserted:
-                    counts[node] += (mask & group_mask).bit_count()
+                run.execute(greedy_exchange_round(state, run.current_snapshot(), group))
             logs.append(StageLog(f"{tag}-exchange", run.rounds_executed - start))
             if run.complete():
                 break
 
-            best = max(range(n), key=lambda v: (counts[v], -v))
+            best = max(range(n), key=lambda v: ((holdings[v] & group_mask).bit_count(), -v))
             broadcast_set = mask_tokens(holdings[best] & group_mask)
             start = run.rounds_executed
             outcome = n_broadcast(run, best, params, tokens=broadcast_set)
@@ -491,3 +484,5 @@ def k_gossip_centralized(
         return GossipOutcome(run.result(), logs, None, strategy)
     except RoundBudgetExhausted:
         return GossipOutcome(run.result(), logs, "round-budget", strategy)
+    except LoadBalanceStalled:
+        return GossipOutcome(run.result(), logs, "load-balance-stalled", strategy)

@@ -568,6 +568,11 @@ class TokenState:
     its end.  An empty node shares one empty row and empty sequences until
     its first token lands.  `arrivals` gives the same records as one
     read-only mapping per node.
+
+    `completed_at` is the one record of completion: node -> the first round
+    at which the node holds every real token, filled where tokens land (by
+    `_add_sends` and `add_mask`).  With no real tokens every node is
+    complete at round 0.
     """
 
     __slots__ = (
@@ -578,6 +583,7 @@ class TokenState:
         "holdings_seq",
         "when",
         "current_round",
+        "completed_at",
         "_real_counts",
     )
 
@@ -594,6 +600,9 @@ class TokenState:
         self.holdings_seq: list[Sequence[int]] = [()] * n
         self.when: list[Sequence[int]] = [()] * n
         self.current_round = 0
+        self.completed_at: dict[int, int] = (
+            {} if universe.real_count else dict.fromkeys(range(n), 0)
+        )
         self._real_counts = [0] * n
         if initial:
             for node, tokens in initial.items():
@@ -622,7 +631,7 @@ class TokenState:
         arrivals in plan order."""
         member, holdings = self.member, self.holdings
         seqs, whens, counts = self.holdings_seq, self.when, self._real_counts
-        real = self.universe.real_count
+        real, completed = self.universe.real_count, self.completed_at
         new = []
         for _, node, token in plan:
             row = member[node]
@@ -637,6 +646,8 @@ class TokenState:
             whens[node].append(rnd)
             if token < real:
                 counts[node] += 1
+                if counts[node] == real:
+                    completed[node] = rnd
             new.append((token, node))
         return new
 
@@ -663,7 +674,10 @@ class TokenState:
         self.holdings[node] = held
         self.holdings_seq[node].fromlist(tokens)
         self.when[node].fromlist([rnd] * len(tokens))
-        self._real_counts[node] += (new & ((1 << self.universe.real_count) - 1)).bit_count()
+        real = self.universe.real_count
+        self._real_counts[node] += (new & ((1 << real) - 1)).bit_count()
+        if self._real_counts[node] == real:
+            self.completed_at.setdefault(node, rnd)
         return new
 
     @property
@@ -679,11 +693,10 @@ class TokenState:
         return frozenset(self.holdings_seq[node])
 
     def node_complete(self, node: int) -> bool:
-        return self._real_counts[node] == self.universe.real_count
+        return node in self.completed_at
 
     def all_complete(self) -> bool:
-        target = self.universe.real_count
-        return all(c == target for c in self._real_counts)
+        return len(self.completed_at) == self.n
 
     def __eq__(self, other):
         return (
@@ -764,7 +777,9 @@ class EngineRun:
 
     Used directly by centralized schedulers (which plan each round with full
     knowledge of the current snapshot but never future ones) and wrapped by
-    `run_simulation` for distributed per-round protocols.
+    `run_simulation` for distributed per-round protocols.  It keeps no
+    completion record of its own: `complete()` and `result()` read the
+    state's `completed_at`.
     """
 
     def __init__(
@@ -786,26 +801,12 @@ class EngineRun:
         self.seed = seed
         self.max_rounds = max_rounds
         self.per_round_new_arrivals: list[int] = []
-        self.per_node_completion: dict[int, int] = {}
-        self._complete_nodes = 0
-        self._note_completions(range(state.n), 0)
         # Round-0 insertions land before the first round with arrival time 0.
         self.inserted: list[tuple[int, int]] = [
             (node, new)
             for node, mask in schedule.insertions_at(0)
             if (new := state.add_mask(node, mask, 0))
         ]
-        self._note_completions([node for node, _ in self.inserted], 0)
-
-    def _note_completions(self, receivers: Iterable[int], t: int) -> None:
-        """Record round t for the receivers that hold every real token now."""
-        counts = self.state._real_counts
-        target = self.state.universe.real_count
-        done = self.per_node_completion
-        for node in receivers:
-            if counts[node] == target and node not in done:
-                done[node] = t
-                self._complete_nodes += 1
 
     @property
     def next_round(self) -> int:
@@ -819,7 +820,7 @@ class EngineRun:
         return self.next_round > self.max_rounds
 
     def complete(self) -> bool:
-        return self._complete_nodes == self.state.n
+        return self.state.all_complete()
 
     def current_snapshot(self) -> NetworkSnapshot:
         return self.schedule.snapshot_at(self.next_round)
@@ -836,11 +837,12 @@ class EngineRun:
         insertions for the round land atomically.
 
         Raises PlanError (before anything changes) if the plan is invalid.
-        New arrivals are recorded at the executed round index; nothing is
-        ever removed.  Returns the sends' new (token, node) arrivals in plan
-        order.  The insertions that added tokens are kept in `inserted` as
-        ascending (node, new-token mask) pairs, never expanded per token;
-        `per_round_new_arrivals` counts both.
+        New arrivals, and the completions they bring, are recorded by the
+        state at the executed round index; nothing is ever removed.  Returns
+        the sends' new (token, node) arrivals in plan order, for the stop
+        hook of `run_simulation`.  The insertions that added tokens are kept
+        in `inserted` as ascending (node, new-token mask) pairs, never
+        expanded per token; `per_round_new_arrivals` counts both.
         """
         t = self.next_round
         if t > self.max_rounds:
@@ -849,30 +851,26 @@ class EngineRun:
         state = self.state
         validate_plan(plan, snapshot, state)
         sent = state._add_sends(plan, t)
-        # Nodes to check for completion: one per send arrival, one per mask.
-        receivers = [v for _, v in sent]
         count = len(sent)
         self.inserted = inserted = []
         for node, mask in self.schedule.insertions_at(t):
             new = state.add_mask(node, mask, t)
             if new:
                 inserted.append((node, new))
-                receivers.append(node)
                 count += new.bit_count()
         state.current_round = t
-        self._note_completions(receivers, t)
         self.per_round_new_arrivals.append(count)
         return sent
 
     def result(self, stopped_early: bool = False) -> SimulationResult:
         done = self.complete()
-        completion = max(self.per_node_completion.values()) if done else None
+        completed = self.state.completed_at
         return SimulationResult(
-            completion_round=completion,
+            completion_round=max(completed.values()) if done else None,
             timed_out=not done,
             rounds_executed=self.rounds_executed,
             per_round_new_arrivals=list(self.per_round_new_arrivals),
-            per_node_completion=dict(self.per_node_completion),
+            per_node_completion=dict(completed),
             final_state=self.state,
             stopped_early=stopped_early,
         )

@@ -4,10 +4,12 @@ import math
 
 import pytest
 
+from gossipsim import central
 from gossipsim.blocker_line import BlockerLineParams, build_blocker_line_invasive
 from gossipsim.central import (
     CentralParams,
     ItemPool,
+    LoadBalanceStalled,
     k_gossip_centralized,
     load_balance,
     n_broadcast,
@@ -22,6 +24,7 @@ from gossipsim.core import (
     derive_rng,
     token_mask,
 )
+from gossipsim.harness import ExperimentConfig, run_cell
 from gossipsim.paths import build_ring_failure
 from gossipsim.random_schedules import build_random_interval_connected
 
@@ -371,3 +374,59 @@ class TestKGossipOnInvasiveSchedules:
         assert rounds["group-0-consolidation"] + rounds["group-0-distribution"] == 763
         assert rounds["group-0-exchange"] == 1
         assert outcome.stalled is None and outcome.result.completion_round == 953
+
+
+class TestLoadBalanceStalls:
+    """A load balance that stalls ends its stage with a marked outcome; the
+    exception never escapes the broadcast or k-gossip, so a cell still
+    writes a row."""
+
+    @staticmethod
+    def stall(run, full_nodes, targets, pool):
+        raise LoadBalanceStalled("no progress")
+
+    @staticmethod
+    def cycle_run(n=9):
+        """One token per node on a static n-cycle."""
+        schedule = static_schedule(n, [(i, (i + 1) % n) for i in range(n)])
+        return fresh_run(schedule, {v: [v] for v in range(n)}, TokenUniverse(n, n), seed=1)
+
+    def test_n_broadcast_marks_the_stall(self, monkeypatch):
+        monkeypatch.setattr(central, "load_balance", self.stall)
+        run = fresh_run(line(8), {0: range(8)}, TokenUniverse(8, 8))
+        outcome = n_broadcast(run, 0)
+        assert not outcome.done
+        assert outcome.stalled == "load-balance-stalled"
+
+    def test_k_gossip_distribution_stall_is_marked(self, monkeypatch):
+        monkeypatch.setattr(central, "load_balance", self.stall)
+        outcome = k_gossip_centralized(self.cycle_run(), 9, CentralParams(mode="staged"))
+        assert outcome.stalled == "load-balance-stalled"
+        assert outcome.result.timed_out
+
+    def test_k_gossip_broadcast_stall_names_its_group(self, monkeypatch):
+        """On the static 9-cycle, one token per node, group 0's distribution
+        spreads over all nodes and its broadcast over the non-full ones;
+        only the broadcast's load balance stalls here."""
+        real = central.load_balance
+
+        def stall_broadcast(run, full_nodes, targets, pool):
+            if len(targets) < run.state.n:
+                raise LoadBalanceStalled("no progress")
+            return real(run, full_nodes, targets, pool)
+
+        monkeypatch.setattr(central, "load_balance", stall_broadcast)
+        outcome = k_gossip_centralized(self.cycle_run(), 9, CentralParams(mode="staged"))
+        assert outcome.stalled == "group-0-broadcast-load-balance-stalled"
+        assert outcome.result.timed_out
+
+    @pytest.mark.parametrize(
+        "protocol", [{"name": "central-broadcast"}, {"name": "central-kgossip", "mode": "staged"}]
+    )
+    def test_run_cell_gives_a_timeout_cell(self, monkeypatch, protocol):
+        monkeypatch.setattr(central, "load_balance", self.stall)
+        config = ExperimentConfig(
+            {"name": "static-cycle"}, protocol, {"kind": "single-source"}, [9], [1], 1000
+        )
+        cell = run_cell(config, 9, 1)
+        assert cell.timed_out and cell.completion_round is None

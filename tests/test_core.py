@@ -243,6 +243,18 @@ class TestTokenState:
         assert sum(map(sys.getsizeof, state.member)) < 3 * 2**20
         assert peak < 6 * 2**20
 
+    def test_completion_is_recorded_where_tokens_land(self):
+        """A node completes in the round its last real token lands, by a
+        send or by a mask; dummies landing later leave the round as it is."""
+        state = TokenState(3, TokenUniverse(4, 2), {0: [0, 1]})
+        state._add_sends([(0, 1, 0)], 2)
+        state.add_mask(2, token_mask([1, 3]), 3)
+        assert state.completed_at == {0: 0} and not state.node_complete(1)
+        state._add_sends([(0, 1, 1)], 4)
+        state.add_mask(2, token_mask([0]), 5)
+        state.add_mask(1, token_mask([2, 3]), 6)
+        assert state.completed_at == {0: 0, 1: 4, 2: 5} and state.all_complete()
+
     def test_arrival_view_is_a_read_only_mapping(self):
         state = TokenState(3, TokenUniverse(8, 8), {0: [5]})
         state.add_mask(0, token_mask([7, 2]), 3)
@@ -358,6 +370,16 @@ class TestRunSimulation:
         state = TokenState(5, TokenUniverse(1, 1), {0: [0]})
         result = run_simulation(schedule, RandDiff(), state, 20, seed=3)
         assert result.completion_round == max(result.per_node_completion.values())
+
+    def test_no_real_tokens_complete_at_round_zero(self):
+        """With only dummy tokens every node holds every real token from the
+        start: the run executes no round and each node completes at 0."""
+        schedule = line_schedule(5)
+        state = TokenState(5, TokenUniverse(3, 0), {0: [0, 1, 2]})
+        result = run_simulation(schedule, RandDiff(), state, 20, seed=3)
+        assert result.rounds_executed == 0 and not result.timed_out
+        assert result.completion_round == 0
+        assert result.per_node_completion == {v: 0 for v in range(5)}
 
 
 class TestScheduleValidate:
@@ -692,7 +714,7 @@ def test_insertion_masks_apply_like_per_token_events(data):
     assert [list(s) for s in state.holdings_seq] == seq
     assert [list(w) for w in state.when] == [list(a.values()) for a in arrivals]
     assert state.arrivals == arrivals
-    assert run.per_node_completion == completion
+    assert run.state.completed_at == completion
     assert state.holdings == [token_mask(a) for a in arrivals]
 
 

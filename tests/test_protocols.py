@@ -326,11 +326,9 @@ def reference_rand_diff(state, snapshot, rng):
     return plan
 
 
-@given(st.integers(2, 40), st.integers(1, 4), st.integers(0, 2**32), st.booleans())
-@settings(max_examples=80, deadline=None)
-def test_rand_diff_step_matches_choice_over_sorted_difference(n, distinct, seed, line):
-    """Nodes draw their holdings from a few shared sets, so many edges join
-    equal sets; the plan and the rng stream match the set-based reference."""
+def shared_sets_case(n, distinct, seed, line):
+    """A state whose nodes draw their holdings from a few shared sets, so
+    many edges join equal sets, on a line or a path plus random chords."""
     rng = derive_rng("equal-rows", seed)
     size = rng.randrange(1, 3 * n)
     pool = [[t for t in range(size) if rng.random() < 0.6] for _ in range(distinct)]
@@ -338,10 +336,16 @@ def test_rand_diff_step_matches_choice_over_sorted_difference(n, distinct, seed,
     order = list(range(n))
     rng.shuffle(order)
     if line:
-        snap = NetworkSnapshot.line(n, order)
-    else:
-        extra = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(n)}
-        snap = NetworkSnapshot(n, set(zip(order, order[1:])) | extra)
+        return state, NetworkSnapshot.line(n, order)
+    extra = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(n)}
+    return state, NetworkSnapshot(n, set(zip(order, order[1:])) | extra)
+
+
+@given(st.integers(2, 40), st.integers(1, 4), st.integers(0, 2**32), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_rand_diff_step_matches_choice_over_sorted_difference(n, distinct, seed, line):
+    """The plan and the rng stream match the set-based reference."""
+    state, snap = shared_sets_case(n, distinct, seed, line)
     ours, ref = derive_rng("draw", seed), derive_rng("draw", seed)
     assert rand_diff_step(state, snap, ours) == reference_rand_diff(state, snap, ref)
     assert ours.random() == ref.random()  # the streams stay in step
@@ -358,6 +362,20 @@ def reference_sym_diff(state, snapshot, rng):
             tok = sym[0] if len(sym) == 1 else rng.choice(sym)
             plan.append((u, v, tok) if state.holds(u, tok) else (v, u, tok))
     return plan
+
+
+@given(st.integers(2, 40), st.integers(1, 4), st.integers(0, 2**32), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_sym_diff_step_matches_choice_over_sorted_symmetric_difference(
+    n, distinct, seed, line
+):
+    """Sym-Diff's draw order: edges in `sorted(snap.edges)` order, one
+    `rng.choice` over the sorted symmetric difference per edge that has
+    more than one token; the plan and the rng stream match the reference."""
+    state, snap = shared_sets_case(n, distinct, seed, line)
+    ours, ref = derive_rng("draw", seed), derive_rng("draw", seed)
+    assert sym_diff_step(state, snap, ours) == reference_sym_diff(state, snap, ref)
+    assert ours.random() == ref.random()  # the streams stay in step
 
 
 def reference_skb(state, snapshot, rng):
