@@ -16,9 +16,10 @@ Two generator families:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from .core import (
     AdversarySchedule,
@@ -32,33 +33,18 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class PathSystem:
-    """Vertex-disjoint simple paths between one source/destination pair.
-
-    A precondition, not checked here: each path joins source to dest, is
-    simple, runs along infrastructure edges, and shares no interior node
-    with another path.  `path_family` builds its systems that way, and the
-    tests check them.
-    """
-
-    source: int
-    dest: int
-    paths: tuple[tuple[int, ...], ...]
-
-
 def validate_paths_respecting(
     schedule: AdversarySchedule,
     infrastructure: NetworkSnapshot,
-    systems: Iterable[PathSystem],
+    systems: PairPathSystems,
 ) -> Check:
-    """Check every (system, round) pair against the inactive-edge budget.
+    """Check every round's inactive edges against the family's budgets.
 
     Rejects outright if some snapshot uses an edge outside the
     infrastructure; otherwise reports the budget violation of the earliest
-    round (lowest system index within it), with witness (system index,
-    round, inactive count, budget).  Makes one pass over `systems`;
-    rounds with the same inactive-edge set are checked once, at the first.
+    round (lowest pair index within it), with witness (pair index, round,
+    inactive count, budget).  Each distinct inactive-edge set is checked
+    once, at its first round, by `systems.first_violation`.
     """
     first_round: dict[frozenset[Edge], int] = {}
     last = None
@@ -73,47 +59,30 @@ def validate_paths_respecting(
         inactive = infrastructure.edges - snap.edges
         if inactive:
             first_round.setdefault(inactive, t)
-    largest = max(map(len, first_round), default=0)
-    witness = None
-    for idx, system in enumerate(systems):
-        paths = system.paths
-        budget = len(paths) - 1
-        # Disjoint paths share an edge only if the direct edge is listed
-        # twice; otherwise no set of at most `budget` edges can break them.
-        if budget >= largest and sum(len(p) == 2 for p in paths) <= 1:
-            continue
-        edges = [(a, b) if a < b else (b, a) for p in paths for a, b in zip(p, p[1:])]
-        for inactive, t in first_round.items():  # in round order
-            if witness is not None and t >= witness[1]:
-                break
-            count = sum(map(inactive.__contains__, edges))
-            if count > budget:
-                witness = (idx, t, count, budget)
-                break
-    if witness is not None:
-        return Check(False, "budget-exceeded", witness)
+    for inactive, t in first_round.items():  # in round order
+        found = systems.first_violation(inactive)
+        if found is not None:
+            idx, count, budget = found
+            return Check(False, "budget-exceeded", (idx, t, count, budget))
     return Check(True)
 
 
 @dataclass(frozen=True)
 class PairPathSystems:
-    """The path systems of every pair s < d of n nodes, in (s, d) order.
+    """The vertex-disjoint path systems of every pair s < d of n nodes, in
+    (s, d) order; pair (s, d) has index s(2n - s - 1)/2 + d - s - 1.
 
-    Sized and re-iterable.  There are n(n-1)/2 systems of up to n nodes
-    each, so each is built from `route(s, d)` only when the iteration
-    reaches it; nothing per pair is stored.
+    A pair may lose at most (path count - 1) of its paths' edges in a round.
+    No path is built or stored: `first_violation(inactive)` counts each
+    pair's inactive path edges from the inactive set alone and returns
+    (pair index, count, budget) for the first pair over its budget, or None.
     """
 
     n: int
-    route: Callable[[int, int], tuple[tuple[int, ...], ...]]
+    first_violation: Callable[[frozenset[Edge]], tuple[int, int, int] | None]
 
     def __len__(self) -> int:
         return self.n * (self.n - 1) // 2
-
-    def __iter__(self):
-        for s in range(self.n):
-            for d in range(s + 1, self.n):
-                yield PathSystem(s, d, self.route(s, d))
 
 
 def path_family(metadata: Mapping) -> tuple[NetworkSnapshot, PairPathSystems] | None:
@@ -147,15 +116,16 @@ def ring_infrastructure(n: int) -> NetworkSnapshot:
     return NetworkSnapshot(n, {canonical_edge(i, (i + 1) % n) for i in range(n)})
 
 
-def _ring_arcs(n: int, s: int, d: int) -> tuple[tuple[int, ...], ...]:
-    clockwise = tuple(range(s, d + 1))
-    counter = (s, *range(s - 1, -1, -1), *range(n - 1, d - 1, -1))
-    return (clockwise, counter)
+def _ring_violation(inactive: frozenset[Edge]) -> tuple[int, int, int] | None:
+    # A pair's two arcs cover every ring edge once, so every pair counts
+    # them all against a budget of 1, and pair (0, 1) is the first over it.
+    return (0, len(inactive), 1) if len(inactive) > 1 else None
 
 
 def ring_path_systems(n: int) -> PairPathSystems:
-    """For every pair, the two arcs of the cycle (vertex-disjoint)."""
-    return PairPathSystems(n, partial(_ring_arcs, n))
+    """For every pair s < d, the two arcs of the cycle: s, s+1, ..., d and
+    s, s-1, ..., 0, n-1, ..., d."""
+    return PairPathSystems(n, _ring_violation)
 
 
 def build_ring_failure(
@@ -213,19 +183,43 @@ def center_terminal_infrastructure(n: int, r: int) -> NetworkSnapshot:
     return NetworkSnapshot(n, edges)
 
 
-def _center_routes(r: int, s: int, d: int) -> tuple[tuple[int, ...], ...]:
-    if d < r:  # center pair
-        return ((s, d),)
-    via = tuple((s, c, d) for c in range(r) if c != s)
-    if s < r:  # center-terminal pair
-        return ((s, d), *via)
-    return via  # terminal-terminal pair
+def _center_terminal_violation(
+    n: int, r: int, inactive: frozenset[Edge]
+) -> tuple[int, int, int] | None:
+    deg = [0] * n  # inactive edges at each terminal (0 at centers)
+    center_edges = 0  # inactive center-center edges
+    for u, v in inactive:
+        if v < r:
+            center_edges += 1
+        else:
+            deg[v] += 1
+    budget = r - 1
+    top = heapq.nlargest(2, deg[r:]) + [0]
+    if not center_edges and top[0] + top[1] <= budget:
+        return None
+    # Scan to name the first pair over its budget.  A center row's pairs
+    # with centers come before its terminals, and every inactive edge counted
+    # in cc(s) is some center pair over its budget of 0, in this row or an
+    # earlier one; so the scan reaches a center's terminals only with
+    # cc(s) = 0, where a pair counts deg(s) + deg(d) = deg(d).
+    for s in range(n):
+        row = s * (2 * n - s - 1) // 2 - s - 1  # pair (s, d) has index row + d
+        for d in range(s + 1, n):
+            if d < r:
+                if (s, d) in inactive:
+                    return row + d, 1, 0
+            elif deg[s] + deg[d] > budget:
+                return row + d, deg[s] + deg[d], budget
+    return None
 
 
 def center_terminal_path_systems(n: int, r: int) -> PairPathSystems:
-    """Disjoint path families: center pairs use their direct edge (never
-    failed); any pair involving a terminal routes through distinct centers."""
-    return PairPathSystems(n, partial(_center_routes, r))
+    """Center pairs s < d < r use their direct edge alone.  A center s and
+    a terminal d use the direct edge and s, c, d for every other center c;
+    they count cc(s) + deg(d), the inactive center-center edges at s plus
+    the inactive edges at d.  Two terminals use s, c, d for every center c
+    and count deg(s) + deg(d).  Pairs with a terminal have budget r - 1."""
+    return PairPathSystems(n, partial(_center_terminal_violation, n, r))
 
 
 def build_center_terminal(

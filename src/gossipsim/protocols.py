@@ -20,10 +20,9 @@ reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .core import NetworkSnapshot, Send, TokenState, draw_token
+from .core import Check, NetworkSnapshot, Send, TokenState, draw_token
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +61,9 @@ def sym_diff_step(
     """
     plan: list[Send] = []
     holdings = state.holdings
-    for u, v in sorted(snapshot.edges):
+    for u, v in snapshot.directed_edges:
+        if u > v:  # each canonical pair once, ascending
+            continue
         sym = holdings[u] ^ holdings[v]
         if not sym:
             continue
@@ -167,24 +168,17 @@ def uniform_skb() -> SkbPolicy:
     return UniformSkbPolicy()
 
 
-@dataclass
-class PolicyCheck:
-    ok: bool
-    violations: list[str]
-
-
 def check_skb_policy(
     policy: SkbPolicy, state: TokenState, round_index: int, tol: float = 1e-9
-) -> PolicyCheck:
+) -> Check:
     """Verify the transmission and symmetry constraints at the given state.
 
     Checks, per node: zero mass on unheld tokens, total mass at most 1, and
-    equal mass for tokens with equal arrival times.  Violations are reported
-    with witnesses rather than raised.
+    equal mass for tokens with equal arrival times.  A rejection's reason is
+    the first violation and its witness the list of all of them.
     """
     violations = []
-    for node in range(state.n):
-        arrivals = state.arrivals[node]
+    for node, arrivals in enumerate(state.arrivals):
         masses = policy.masses(round_index, node, arrivals)
         for tok, mass in masses.items():
             if tok not in arrivals and mass > tol:
@@ -206,7 +200,9 @@ def check_skb_policy(
                         f"round {when} but have masses {ref} != {masses.get(tok, 0.0)}"
                     )
                     break
-    return PolicyCheck(not violations, violations)
+    if violations:
+        return Check(False, violations[0], violations)
+    return Check(True)
 
 
 # ---------------------------------------------------------------------------

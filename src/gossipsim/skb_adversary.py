@@ -135,7 +135,6 @@ def build_skb_adversary(params: SkbAdversaryParams) -> AdversarySchedule:
                 insertions[round_index] = sorted(
                     (watched[m_idx - 1], set_masks[k - m_idx])
                     for m_idx in range(1, min(k, len(watched)) + 1)
-                    if k - m_idx < len(set_masks)
                 )
             meta["segments"].append(
                 {

@@ -1,6 +1,8 @@
 """Paths-respecting generators and validator."""
 
+import itertools
 import tracemalloc
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,6 @@ from gossipsim.core import (
 )
 from gossipsim.harness import build_schedule
 from gossipsim.paths import (
-    PathSystem,
     build_center_terminal,
     build_ring_failure,
     center_terminal_infrastructure,
@@ -27,6 +28,17 @@ from gossipsim.paths import (
     ring_path_systems,
     validate_paths_respecting,
 )
+
+
+@dataclass(frozen=True)
+class PathSystem:
+    """Vertex-disjoint simple paths between one source/destination pair:
+    the test-side form of a pair's paths, which `gossipsim.paths` counts
+    without building."""
+
+    source: int
+    dest: int
+    paths: tuple[tuple[int, ...], ...]
 
 
 def snapshots(schedule):
@@ -86,6 +98,17 @@ def structure_problems(system, infrastructure):
     return problems
 
 
+def oracle_violation(systems, inactive):
+    """(index, count, budget) of the first system whose paths hold more
+    inactive edges than its path count minus one, or None."""
+    for idx, system in enumerate(systems):
+        count = sum(1 for e in path_edges(system) if e in inactive)
+        budget = len(system.paths) - 1
+        if count > budget:
+            return idx, count, budget
+    return None
+
+
 def oracle_report(schedule, infrastructure, systems):
     """Round-major reference: every round against every system's budget,
     in order."""
@@ -95,13 +118,42 @@ def oracle_report(schedule, infrastructure, systems):
         if extra:
             return Check(False, "edge-outside-infrastructure", (t, sorted(extra)[0]))
     for t, snap in enumerate(snapshots(schedule), start=1):
-        inactive = infrastructure.edges - snap.edges
-        for idx, system in enumerate(systems):
-            count = sum(1 for e in path_edges(system) if e in inactive)
-            budget = len(system.paths) - 1
-            if count > budget:
-                return Check(False, "budget-exceeded", (idx, t, count, budget))
+        found = oracle_violation(systems, infrastructure.edges - snap.edges)
+        if found is not None:
+            idx, count, budget = found
+            return Check(False, "budget-exceeded", (idx, t, count, budget))
     return Check(True)
+
+
+def small_inactive_sets(infrastructure):
+    """Every set of one or two infrastructure edges."""
+    edges = sorted(infrastructure.edges)
+    return [frozenset(c) for k in (1, 2) for c in itertools.combinations(edges, k)]
+
+
+def sampled_inactive_sets(infrastructure, r, seed, count=20):
+    """Every single infrastructure edge, then `count` seeded sets of 3 to
+    r + 1 edges.  Every other set is drawn from the center-terminal edges
+    alone, so no center pair is over its budget and the terminal counts
+    decide."""
+    rng = derive_rng("inactive-sets", seed)
+    edges = sorted(infrastructure.edges)
+    spokes = [e for e in edges if e[1] >= r]
+    sets = [frozenset([e]) for e in edges]
+    for i in range(count):
+        pool = spokes if i % 2 else edges
+        size = rng.randint(min(3, len(pool)), min(r + 1, len(pool)))
+        sets.append(frozenset(rng.sample(pool, size)))
+    return sets
+
+
+def assert_family_matches_oracle(systems, eager, inactive_sets):
+    """The family names the same first violation as the eager paths."""
+    assert len(systems) == len(eager)
+    for inactive in inactive_sets:
+        assert systems.first_violation(inactive) == oracle_violation(eager, inactive), sorted(
+            inactive
+        )
 
 
 class TestRingFailure:
@@ -125,8 +177,10 @@ class TestRingFailure:
         assert report.ok
 
     def test_budget_is_one_failed_edge(self):
-        _, _, systems = build_ring_failure(5, "fixed-edge", seed=1, horizon=4)
-        assert all(len(s.paths) - 1 == 1 for s in systems)
+        _, infra, systems = build_ring_failure(5, "fixed-edge", seed=1, horizon=4)
+        eager = eager_ring_systems(5)
+        assert all(len(s.paths) - 1 == 1 for s in eager)
+        assert_family_matches_oracle(systems, eager, small_inactive_sets(infra))
 
     def test_rejects_n_below_three(self):
         with pytest.raises(ValueError):
@@ -174,10 +228,12 @@ class TestCenterTerminal:
     def test_per_system_inactive_at_most_r_minus_2(self):
         n, r = 12, 6
         schedule, infra, systems = build_center_terminal(n, r, seed=4, horizon=12)
+        eager = eager_center_terminal_systems(n, r)
         for t in range(1, 13):
             inactive = infra.edges - schedule.snapshot_at(t).edges
-            for system in systems:
+            for system in eager:
                 assert sum(e in inactive for e in path_edges(system)) <= r - 2
+            assert systems.first_violation(inactive) is None
 
     def test_precondition(self):
         with pytest.raises(ValueError):
@@ -192,13 +248,6 @@ class TestValidatorRejections:
         report = validate_paths_respecting(schedule, infra, [])
         assert not report.ok
         assert report.reason == "edge-outside-infrastructure"
-
-    def test_direct_edge_listed_twice_is_not_skipped(self):
-        # Every inactive set has one edge, within the budget of 1, but the
-        # twice-listed direct edge counts twice.
-        schedule, infra, _ = build_ring_failure(5, "fixed-edge", seed=1, horizon=3)
-        report = validate_paths_respecting(schedule, infra, [PathSystem(0, 1, ((0, 1), (0, 1)))])
-        assert report == Check(False, "budget-exceeded", (0, 1, 2, 1))
 
     def test_mutation_fuzz_always_rejected(self):
         # deactivate one extra path edge in a random round: must reject
@@ -218,19 +267,24 @@ class TestValidatorRejections:
 
 
 class TestFamilyStructure:
-    """The validator trusts its systems' structure; the families that
-    `path_family` builds are checked here instead."""
+    """The families count paths they never build.  The paths they count are
+    the eager enumerations: their structure is checked here, and the tests
+    below hold each family's verdicts to the oracle over them."""
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_ring_family_is_well_formed(self, n):
         infra, systems = path_family({"generator": "ring-failure", "params": {"n": n}})
-        assert all(structure_problems(s, infra) == [] for s in systems)
+        eager = eager_ring_systems(n)
+        assert all(structure_problems(s, infra) == [] for s in eager)
+        assert_family_matches_oracle(systems, eager, [frozenset(infra.edges)])
 
     @pytest.mark.parametrize("n, r", [(6, 3), (12, 6), (20, 5)])
     def test_center_terminal_family_is_well_formed(self, n, r):
         metadata = {"generator": "center-terminal", "params": {"n": n, "r": r}}
         infra, systems = path_family(metadata)
-        assert all(structure_problems(s, infra) == [] for s in systems)
+        eager = eager_center_terminal_systems(n, r)
+        assert all(structure_problems(s, infra) == [] for s in eager)
+        assert_family_matches_oracle(systems, eager, [frozenset(infra.edges)])
 
     @pytest.mark.parametrize(
         "system, problem",
@@ -272,11 +326,13 @@ class TestPathFamily:
     def test_matches_eager_enumeration(self):
         infra, systems = path_family({"generator": "ring-failure", "params": {"n": 8}})
         assert infra.edges == ring_infrastructure(8).edges
-        assert list(systems) == eager_ring_systems(8)
+        assert_family_matches_oracle(systems, eager_ring_systems(8), small_inactive_sets(infra))
         metadata = {"generator": "center-terminal", "params": {"n": 8, "r": 5}}
         infra, systems = path_family(metadata)
         assert infra.edges == center_terminal_infrastructure(8, 5).edges
-        assert list(systems) == eager_center_terminal_systems(8, 5)
+        assert_family_matches_oracle(
+            systems, eager_center_terminal_systems(8, 5), small_inactive_sets(infra)
+        )
 
     def test_other_generators_have_no_family(self):
         assert path_family({}) is None
@@ -312,16 +368,18 @@ class TestLazySystems:
     def test_ring_systems_match_eager_enumeration(self, n):
         systems = ring_path_systems(n)
         assert len(systems) == n * (n - 1) // 2
-        assert list(systems) == eager_ring_systems(n)
-        assert list(systems) == eager_ring_systems(n)  # re-iterable
+        inactive_sets = small_inactive_sets(ring_infrastructure(n))
+        assert_family_matches_oracle(systems, eager_ring_systems(n), inactive_sets)
 
     @pytest.mark.parametrize("n", range(4, 13))
     def test_center_terminal_systems_match_eager_enumeration(self, n):
         for r in range(3, n):
             systems = center_terminal_path_systems(n, r)
             assert len(systems) == n * (n - 1) // 2
-            assert list(systems) == eager_center_terminal_systems(n, r)
-            assert list(systems) == eager_center_terminal_systems(n, r)
+            inactive_sets = sampled_inactive_sets(center_terminal_infrastructure(n, r), r, seed=n)
+            assert_family_matches_oracle(
+                systems, eager_center_terminal_systems(n, r), inactive_sets
+            )
 
     def test_systems_are_not_stored(self):
         tracemalloc.start()
@@ -371,43 +429,44 @@ def mutated_paths_schedules(draw):
         n = draw(st.integers(3, 9))
         policy = draw(st.sampled_from(["round-robin", "random", "fixed-edge"]))
         schedule, infra, systems = build_ring_failure(n, policy, seed, horizon)
+        eager = eager_ring_systems(n)
     else:
         n = draw(st.integers(4, 10))
         r = draw(st.integers(3, n - 1))
         schedule, infra, systems = build_center_terminal(n, r, seed, horizon)
+        eager = eager_center_terminal_systems(n, r)
     snaps = snapshots(schedule)
     for _ in range(draw(st.integers(1, 3))):
         t = draw(st.integers(0, horizon - 1))
         if snaps[t].edges:
             edge = draw(st.sampled_from(sorted(snaps[t].edges)))
             snaps[t] = NetworkSnapshot(n, snaps[t].edges - {edge})
-    return AdversarySchedule(n, horizon, snaps), infra, systems
+    return AdversarySchedule(n, horizon, snaps), infra, systems, eager
 
 
 class TestValidatorMatchesOracle:
     @given(mutated_paths_schedules())
     @settings(max_examples=150, deadline=None)
     def test_one_pass_equals_round_major_oracle(self, case):
-        schedule, infra, systems = case
-        # A one-shot iterator: the validator may read the systems only once.
-        report = validate_paths_respecting(schedule, infra, iter(systems))
-        assert report == oracle_report(schedule, infra, systems)
+        schedule, infra, systems, eager = case
+        report = validate_paths_respecting(schedule, infra, systems)
+        assert report == oracle_report(schedule, infra, eager)
 
     @pytest.mark.parametrize(
-        "systems",
-        [
-            [PathSystem(0, 1, ((0, 1), (0, 1)))],  # direct edge listed twice
-            [PathSystem(0, 2, ((0, 1, 2), (0, 4, 3, 2))), PathSystem(0, 1, ((0, 1),))],
-        ],
+        "n, r",
+        [(n, None) for n in range(3, 9)] + [(4, 3), (6, 3), (6, 4), (8, 5), (9, 7)],
     )
-    def test_hand_systems_equal_oracle(self, systems):
-        infra = ring_infrastructure(5)
-        snaps = [
-            infra,
-            NetworkSnapshot(5, infra.edges - {(0, 1)}),
-            NetworkSnapshot(5, infra.edges - {(1, 2), (2, 3)}),
-        ]
-        schedule = AdversarySchedule(5, 3, snaps)
-        report = validate_paths_respecting(schedule, infra, systems)
-        assert report == oracle_report(schedule, infra, systems)
-        assert not report.ok
+    def test_one_or_two_inactive_edges_equal_oracle(self, n, r):
+        """Every inactive set of one or two infrastructure edges, center-center
+        edges included, as a one-round schedule."""
+        if r is None:
+            infra, systems = path_family({"generator": "ring-failure", "params": {"n": n}})
+            eager = eager_ring_systems(n)
+        else:
+            metadata = {"generator": "center-terminal", "params": {"n": n, "r": r}}
+            infra, systems = path_family(metadata)
+            eager = eager_center_terminal_systems(n, r)
+        for inactive in small_inactive_sets(infra):
+            schedule = AdversarySchedule(n, 1, [NetworkSnapshot(n, infra.edges - inactive)])
+            report = validate_paths_respecting(schedule, infra, systems)
+            assert report == oracle_report(schedule, infra, eager), sorted(inactive)

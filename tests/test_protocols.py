@@ -231,7 +231,7 @@ class TestCheckSkbPolicy:
         state = two_node_state([0, 1], [])
         report = check_skb_policy(Lopsided(), state, round_index=3)
         assert not report.ok
-        assert any("arrived at round 0" in v for v in report.violations)
+        assert any("arrived at round 0" in v for v in report.witness)
 
     def test_excess_mass_fails(self):
         class Heavy(uniform_skb().__class__):
@@ -241,7 +241,7 @@ class TestCheckSkbPolicy:
         state = two_node_state([0, 1], [])
         report = check_skb_policy(Heavy(), state, round_index=1)
         assert not report.ok
-        assert any("exceeds 1" in v for v in report.violations)
+        assert any("exceeds 1" in v for v in report.witness)
 
     def test_unheld_mass_fails(self):
         class Phantom(uniform_skb().__class__):
@@ -251,7 +251,7 @@ class TestCheckSkbPolicy:
         state = two_node_state([0], [], size=100)
         report = check_skb_policy(Phantom(), state, round_index=1)
         assert not report.ok
-        assert any("unheld" in v for v in report.violations)
+        assert any("unheld" in v for v in report.witness)
 
 
 class TestFlood:
