@@ -41,11 +41,16 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import add, mul
 
 from .core import (
     AdversarySchedule,
+    Edge,
     RoundSource,
+    canonical_edge,
     derive_rng,
+    line_moves,
     node_array,
     token_mask,
 )
@@ -117,6 +122,7 @@ class _Segment:
     index: int  # 1-based within the phase
     interval: list[int]
     line: array  # line order while the interval fronts node 0
+    moves: tuple[list[Edge], list[Edge]]  # (removed, added) hops from the previous line
 
 
 def _trajectory(params: BlockerLineParams) -> tuple[list[_Segment], list[list[int]]]:
@@ -126,19 +132,31 @@ def _trajectory(params: BlockerLineParams) -> tuple[list[_Segment], list[list[in
     recently retired inner node sits next to node 0), `right` near-to-far
     (index 0 is node 0's right neighbour).  After each segment the interval's
     inner nodes retire leftward, the rest are exiled to the far right end,
-    and the next interval fronts node 0.
+    and the next interval fronts node 0.  So the blocks left, 0, inner,
+    outer, rest become left, inner reversed, 0, rest, outer, and each
+    segment's moves are the hops joining them, read from block ends.
     """
     left: list[int] = []
     right = list(range(1, params.n))
     width = 2 * params.sqrt_n
+    iw = params.inner_width
     segments: list[_Segment] = []
     right_lines: list[list[int]] = []
+    moves: tuple[list[Edge], list[Edge]] = ([], [])
     for phase in range(1, params.phases + 1):
         intervals = [right[j * width : (j + 1) * width] for j in range(params.segments_per_phase)]
         for j, interval in enumerate(intervals, start=1):
-            segments.append(_Segment(phase, j, interval, node_array(params.n, left + [0] + right)))
-            left += reversed(interval[: params.inner_width])
-            right = right[width:] + interval[params.inner_width :]
+            segments.append(
+                _Segment(phase, j, interval, node_array(params.n, left + [0] + right), moves)
+            )
+            left_block = (left[0], left[-1]) if left else None
+            inner, outer = (interval[0], interval[iw - 1]), (interval[iw], interval[-1])
+            rest = (right[width], right[-1]) if len(right) > width else None
+            moves = line_moves(
+                [left_block, (0, 0), inner, outer, rest], [left_block, inner[::-1], (0, 0), rest, outer]
+            )
+            left += reversed(interval[:iw])
+            right = right[width:] + interval[iw:]
         right_lines.append(list(right))
     return segments, right_lines
 
@@ -229,12 +247,43 @@ def build_blocker_line_invasive(params: BlockerLineParams) -> AdversarySchedule:
     return AdversarySchedule(
         n=params.n,
         horizon=round_index,
-        rounds=RoundSource.lines(params.n, [seg.line for seg in segments], params.segment_rounds),
+        rounds=RoundSource.lines(
+            params.n,
+            [seg.line for seg in segments],
+            params.segment_rounds,
+            [seg.moves for seg in segments],
+        ),
         insertion_masks={t: sorted(at.items()) for t, at in by_round.items() if at},
         mode="invasive",
         metadata=_base_metadata(params, "invasive", segments, right_lines),
         cyclic_extendable=True,
     )
+
+
+class _DiffedMoves:
+    """Each order's (removed, added) hops from the order before, found once
+    by diffing their hop sets (hops coded as ints u*n + v) and kept as code
+    arrays; item k reads them back as canonical pairs.  A hop that only
+    turned around is both removed and added, so it stays."""
+
+    def __init__(self, n: int, orders: list[array]):
+        self.n = n
+        self._codes: list[tuple[array, array]] = []
+        before = None
+        for order in orders:
+            after = set(map(add, map(mul, order, repeat(n)), order[1:]))
+            if before is None:  # order 0 has no moves
+                before = after
+            self._codes.append((node_array(n * n, before - after), node_array(n * n, after - before)))
+            before = after
+
+    def __getitem__(self, k: int) -> tuple[list[Edge], list[Edge]]:
+        n = self.n
+        removed, added = self._codes[k]
+        return (
+            [canonical_edge(*divmod(c, n)) for c in removed],
+            [canonical_edge(*divmod(c, n)) for c in added],
+        )
 
 
 def build_blocker_line_oblivious(params: BlockerLineParams) -> AdversarySchedule:
@@ -285,7 +334,7 @@ def build_blocker_line_oblivious(params: BlockerLineParams) -> AdversarySchedule
     return AdversarySchedule(
         n=params.n,
         horizon=len(segments) * params.segment_rounds,
-        rounds=RoundSource.lines(params.n, lines, params.segment_rounds),
+        rounds=RoundSource.lines(params.n, lines, params.segment_rounds, _DiffedMoves(params.n, lines)),
         mode="oblivious",
         metadata=meta,
         cyclic_extendable=True,

@@ -26,8 +26,7 @@ from array import array
 from bisect import bisect_left, insort
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
-from operator import add, itemgetter, mul
+from itertools import chain, compress
 from typing import Callable, Hashable, Iterable, NamedTuple, Protocol, Sequence
 
 NodeId = int
@@ -303,29 +302,45 @@ class RoundSource:
         return cls(lambda t: 0, lambda key: snapshot)
 
     @classmethod
-    def lines(cls, n: int, orders: Sequence[Sequence[int]], span: int) -> "RoundSource":
-        """Round t is the path graph along `orders[(t-1) // span]`.  The
-        segment after the kept one is the kept graph `edited` by the hops
-        (coded as ints u*n + v) that one order has and the other lacks; a hop
-        that only turned around is both removed and added, so it stays.
-        Any other access builds the line afresh."""
-        kept: dict[int, set[int]] = {}  # the kept segment's hops
+    def lines(
+        cls,
+        n: int,
+        orders: Sequence[Sequence[int]],
+        span: int,
+        moves: Sequence[tuple[Sequence[Edge], Sequence[Edge]]],
+    ) -> "RoundSource":
+        """Round t is the path graph along `orders[(t-1) // span]`.
+
+        `moves[k]` is the generator's (removed, added) canonical pairs that
+        take order k-1 to order k (`moves[0]` is not read).  The segment
+        after the kept one is the kept graph `edited` by its moves, so it
+        costs what changes; any other access builds the line afresh."""
 
         def build(k: int) -> NetworkSnapshot:
-            order = orders[k]
-            after = set(map(add, map(mul, order, repeat(n)), order[1:]))
-            before = kept.pop(k - 1, None) if source._key == k - 1 else None
-            kept.clear()
-            kept[k] = after
-            if before is None:
-                return NetworkSnapshot.line(n, order)
-            return source._snapshot.edited(
-                [canonical_edge(*divmod(c, n)) for c in before - after],
-                [canonical_edge(*divmod(c, n)) for c in after - before],
-            )
+            if k and source._key == k - 1:
+                return source._snapshot.edited(*moves[k])
+            return NetworkSnapshot.line(n, orders[k])
 
         source = cls(lambda t: (t - 1) // span, build)
         return source
+
+
+def line_moves(
+    before: Sequence[tuple[int, int] | None], after: Sequence[tuple[int, int] | None]
+) -> tuple[list[Edge], list[Edge]]:
+    """The (removed, added) hops of a line whose blocks move.
+
+    `before` and `after` give each block's (first, last) node in line
+    order, None for an empty block.  A block keeps its inner hops, reversed
+    or not, so only the hops joining consecutive blocks change.  A join in
+    both lists stays (`NetworkSnapshot.edited` keeps a pair it is given as
+    removed and added)."""
+    return _joins(before), _joins(after)
+
+
+def _joins(blocks: Sequence[tuple[int, int] | None]) -> list[Edge]:
+    ends = [b for b in blocks if b is not None]
+    return [canonical_edge(a[1], b[0]) for a, b in zip(ends, ends[1:])]
 
 
 @dataclass
@@ -502,15 +517,6 @@ def select_token(mask: int, r: int) -> int:
             mask >>= 1 << k
             base += 1 << k
     return base + _SELECT8[mask][r]
-
-
-def draw_token(mask: int, rng: random.Random) -> int:
-    """Uniform token of a nonempty bitset; the same draw as
-    `rng.choice(sorted(tokens))`, and no draw for a single token."""
-    count = mask.bit_count()
-    if count == 1:
-        return mask.bit_length() - 1
-    return select_token(mask, rng._randbelow(count))
 
 
 class ArrivalView(Mapping):
@@ -709,16 +715,18 @@ class TokenState:
         )
 
 
-_sender_receiver = itemgetter(0, 1)
-
-
 def validate_plan(plan: Sequence[Send], snapshot: NetworkSnapshot, state: TokenState) -> None:
     """Raise PlanError unless every send uses a live edge, a held token, and
     each directed edge carries at most one token.  A plan with several
-    faults reports the first in plan order."""
+    faults reports the first in plan order.
+
+    One pass checks each send and collects its directed edge; only a
+    faulty plan is walked again, to name its first fault."""
     edges = snapshot.edges
     member = state.member
     size = state.universe.size
+    used: set[tuple[int, int]] = set()
+    use = used.add
     try:
         for u, v, tok in plan:
             if not (
@@ -727,13 +735,14 @@ def validate_plan(plan: Sequence[Send], snapshot: NetworkSnapshot, state: TokenS
                 and member[u][tok]
             ):
                 break
+            use((u, v))
         else:
-            if len(set(map(_sender_receiver, plan))) == len(plan):
+            if len(used) == len(plan):
                 return
     except IndexError:  # a token past its sender's row
         pass
     # Some send is faulty: find the first and say what is wrong with it.
-    used: set[tuple[int, int]] = set()
+    used.clear()
     for send in plan:
         u, v, tok = send
         if u == v:

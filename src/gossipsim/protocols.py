@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Mapping
 
-from .core import Check, NetworkSnapshot, Send, TokenState, draw_token
+from .core import Check, NetworkSnapshot, Send, TokenState, select_token
 
 
 # ---------------------------------------------------------------------------
@@ -35,19 +35,32 @@ def rand_diff_step(
     """One send per directed edge: uniform over sender-minus-receiver tokens.
 
     Never idles on an edge where progress is possible; draws on distinct
-    directed edges are independent.  A difference of d > 1 tokens draws
-    `r = rng._randbelow(d)` and sends its r-th smallest token (`draw_token`).
+    directed edges are independent.  A single-token difference draws
+    nothing; a difference of d > 1 tokens draws `r = rng._randbelow(d)`,
+    inlined as its getrandbits loop, and sends its r-th smallest token.  So
+    each pick is `rng.choice(sorted(difference))`.
     """
     plan: list[Send] = []
     holdings = state.holdings
+    getrandbits = rng.getrandbits
     for u, v in snapshot.directed_edges:
         held = holdings[u]
         other = holdings[v]
         if held == other:  # most edges: one comparison instead of two big-int ops
             continue
         diff = held ^ (held & other)
-        if diff:
-            plan.append((u, v, draw_token(diff, rng)))
+        if not diff:
+            continue
+        count = diff.bit_count()
+        if count == 1:
+            tok = diff.bit_length() - 1
+        else:
+            k = count.bit_length()
+            r = getrandbits(k)
+            while r >= count:
+                r = getrandbits(k)
+            tok = select_token(diff, r)
+        plan.append((u, v, tok))
     return plan
 
 
@@ -57,17 +70,27 @@ def sym_diff_step(
     """One token per undirected edge, uniform over the symmetric difference.
 
     The endpoint holding the drawn token sends it, so at most one send
-    happens per undirected edge per round.
+    happens per undirected edge per round.  The draw is Rand-Diff's: none
+    for a single token, else the r-th smallest of `rng._randbelow(d)`.
     """
     plan: list[Send] = []
     holdings = state.holdings
+    getrandbits = rng.getrandbits
     for u, v in snapshot.directed_edges:
         if u > v:  # each canonical pair once, ascending
             continue
         sym = holdings[u] ^ holdings[v]
         if not sym:
             continue
-        tok = draw_token(sym, rng)
+        count = sym.bit_count()
+        if count == 1:
+            tok = sym.bit_length() - 1
+        else:
+            k = count.bit_length()
+            r = getrandbits(k)
+            while r >= count:
+                r = getrandbits(k)
+            tok = select_token(sym, r)
         plan.append((u, v, tok) if state.holds(u, tok) else (v, u, tok))
     return plan
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .core import AdversarySchedule, RoundSource, node_array, token_mask
+from .core import AdversarySchedule, Edge, RoundSource, line_moves, node_array, token_mask
 
 
 def icbrt(n: int) -> int:
@@ -115,6 +115,7 @@ def build_skb_adversary(params: SkbAdversaryParams) -> AdversarySchedule:
     }
 
     lines = []  # one line order per segment
+    moves: list[tuple[list[Edge], list[Edge]]] = [([], [])]  # hops from the line before
     insertions: dict[int, list[tuple[int, int]]] = {}
     round_index = 0
 
@@ -146,14 +147,29 @@ def build_skb_adversary(params: SkbAdversaryParams) -> AdversarySchedule:
                     "outer": watched[iw:],
                 }
             )
-            middle = middle[len(watched) :]
+            # The blocks left, 0, inner, outer, rest, right become left,
+            # inner reversed, 0, rest, outer, right; a phase's fold of the
+            # right part into the middle keeps the order.
+            w = len(watched)
+            left_block = (left[0], left[-1]) if left else None
+            inner = (watched[0], watched[iw - 1]) if iw else None
+            outer = (watched[iw], watched[-1])
+            rest = (middle[w], middle[-1]) if len(middle) > w else None
+            right_block = (right[0], right[-1]) if right else None
+            moves.append(
+                line_moves(
+                    [left_block, (0, 0), inner, outer, rest, right_block],
+                    [left_block, inner and inner[::-1], (0, 0), rest, outer, right_block],
+                )
+            )
+            middle = middle[w:]
             left = left + list(reversed(watched[:iw]))
             right = watched[iw:] + right
 
     return AdversarySchedule(
         n=n,
         horizon=round_index,
-        rounds=RoundSource.lines(n, lines, params.segment_rounds),
+        rounds=RoundSource.lines(n, lines, params.segment_rounds, moves),
         insertion_masks=insertions,
         mode="invasive",
         metadata=meta,

@@ -22,12 +22,12 @@ from gossipsim.core import (
     TokenUniverse,
     bfs_distances,
     derive_rng,
-    draw_token,
     mask_tokens,
     node_array,
     run_simulation,
     select_token,
     token_mask,
+    validate_plan,
     validate_snapshot,
 )
 from gossipsim.blocker_line import (
@@ -37,7 +37,7 @@ from gossipsim.blocker_line import (
 )
 from gossipsim.dgs1 import schedule_to_text
 from gossipsim.harness import build_schedule, initial_state, make_sentinel_stop
-from gossipsim.protocols import RandDiff, get_protocol
+from gossipsim.protocols import RandDiff, get_protocol, rand_diff_step, sym_diff_step
 from gossipsim.skb_adversary import SkbAdversaryParams, build_skb_adversary
 
 from reference_sim import reference_rand_diff_completion
@@ -191,6 +191,114 @@ class TestApplyRound:
             assert state.current_round == 0
             assert [len(row) for row in state.member] == [512, 1024, 0]
             assert [list(seq) for seq in state.holdings_seq] == [[5], [900], []]
+
+
+def reference_plan_error(plan, snapshot, state):
+    """The first fault of a plan, checked send by send with no fast path:
+    its PlanError message, or None for a valid plan."""
+    used = set()
+    for send in plan:
+        u, v, tok = send
+        if u == v:
+            return f"self-send {send}"
+        if (min(u, v), max(u, v)) not in snapshot.edges:
+            return f"send {send} uses absent edge"
+        if (u, v) in used:
+            return f"directed edge ({u}, {v}) used twice"
+        used.add((u, v))
+        if tok not in state.tokens(u):
+            return f"sender {u} does not hold token {tok}"
+    return None
+
+
+PLAN_FAULTS = ["self-send", "absent-edge", "reuse", "unheld", "minus-one", "size", "short-row"]
+
+
+@st.composite
+def faulty_plans(draw):
+    """A valid plan on a random connected graph, with faults of random
+    classes inserted at random positions; universes of 1100 tokens leave
+    rows of 512 or 1024 bytes short of the universe."""
+    n = draw(st.integers(3, 8))
+    size = draw(st.sampled_from([4, 40, 1100]))
+    extra = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    snap = NetworkSnapshot(n, [(i, i + 1) for i in range(n - 1)] + [e for e in extra if e[0] != e[1]])
+    low = min(size, 512)
+    held = {v: draw(st.sets(st.integers(0, low - 1), min_size=1, max_size=6)) for v in range(n)}
+    for v in draw(st.sets(st.integers(0, n - 1))):
+        held[v].add(low - 1)  # the row's last byte, which token -1 would index
+    if size > 1024 and draw(st.booleans()):
+        held[0].add(draw(st.integers(512, 1023)))  # node 0's row grows to 1024 bytes
+    state = TokenState(n, TokenUniverse(size, size), held)
+    directed = snap.directed_edges
+    picks = draw(st.lists(st.sampled_from(directed), unique=True, max_size=len(directed)))
+    plan = [(u, v, draw(st.sampled_from(sorted(held[u])))) for u, v in picks]
+    absent = [(u, v) for u in range(n) for v in range(n) if u != v and not snap.has_edge(u, v)]
+    for fault in draw(st.lists(st.sampled_from(PLAN_FAULTS), max_size=3)):
+        u, v = draw(st.sampled_from(directed))
+        pos = draw(st.integers(0, len(plan)))
+        if fault == "self-send":
+            send = (u, u, draw(st.sampled_from(sorted(held[u]))))
+        elif fault == "absent-edge":
+            if not absent:
+                continue
+            a, b = draw(st.sampled_from(absent))
+            send = (a, b, draw(st.sampled_from(sorted(held[a]))))
+        elif fault == "reuse":  # an early send's edge again, in the plan's second half
+            if not plan:
+                continue
+            first = draw(st.integers(0, min(2, len(plan) - 1)))
+            u, v, _ = plan[first]
+            pos = draw(st.integers(max(first + 1, len(plan) // 2), len(plan)))
+            send = (u, v, draw(st.sampled_from(sorted(held[u]))))
+        elif fault == "unheld":
+            unheld = sorted(set(range(low)) - held[u])
+            if not unheld:
+                continue
+            send = (u, v, draw(st.sampled_from(unheld)))
+        elif fault == "minus-one":
+            send = (u, v, -1)
+        elif fault == "size":
+            send = (u, v, size)
+        else:  # a token inside the universe but past the sender's row
+            if len(state.member[u]) >= size:
+                continue
+            send = (u, v, draw(st.integers(len(state.member[u]), size - 1)))
+        plan.insert(pos, send)
+    return state, snap, plan
+
+
+def _state_records(state):
+    return (
+        state.current_round,
+        list(state.holdings),
+        [bytes(row) for row in state.member],
+        [list(seq) for seq in state.holdings_seq],
+        [list(when) for when in state.when],
+        dict(state.completed_at),
+    )
+
+
+@given(faulty_plans())
+@settings(max_examples=300, deadline=None)
+def test_validate_plan_matches_straight_line_reference(case):
+    """`validate_plan`'s verdict and first message equal the reference's on
+    plans with every fault class at random positions, and a rejected plan
+    leaves the state untouched."""
+    state, snap, plan = case
+    expected = reference_plan_error(plan, snap, state)
+    if expected is None:
+        validate_plan(plan, snap, state)
+        return
+    with pytest.raises(PlanError) as err:
+        validate_plan(plan, snap, state)
+    assert str(err.value) == expected
+    before = _state_records(state)
+    schedule = AdversarySchedule(state.n, 1, [snap])
+    with pytest.raises(PlanError) as err:
+        EngineRun(schedule, state, seed=0, max_rounds=1).execute(plan)
+    assert str(err.value) == expected
+    assert _state_records(state) == before
 
 
 class TestTokenState:
@@ -565,12 +673,19 @@ def test_token_mask_matches_the_or_reference(start, stop, step, shape):
 
 @given(wide_masks, st.integers(0, 2**32))
 @settings(max_examples=100, deadline=None)
-def test_draw_token_is_choice_over_sorted_tokens(mask, seed):
-    tokens = sorted(_set_bits(mask))
-    rng, ref = derive_rng("draw", seed), derive_rng("draw", seed)
-    expected = tokens[0] if len(tokens) == 1 else ref.choice(tokens)
-    assert draw_token(mask, rng) == expected
-    assert rng.random() == ref.random()  # the streams stay in step
+def test_diff_steps_draw_choice_over_sorted_tokens(mask, seed):
+    """On one edge whose far end holds nothing, Rand-Diff and Sym-Diff both
+    send `rng.choice(sorted(tokens))`, drawing nothing for a single token,
+    and leave the stream where that choice leaves it."""
+    tokens = _set_bits(mask)
+    size = mask.bit_length()
+    state = TokenState(2, TokenUniverse(size, size), {0: tokens})
+    snap = NetworkSnapshot(2, [(0, 1)])
+    for step in (rand_diff_step, sym_diff_step):
+        rng, ref = derive_rng("draw", seed), derive_rng("draw", seed)
+        expected = tokens[0] if len(tokens) == 1 else ref.choice(tokens)
+        assert step(state, snap, rng) == [(0, 1, expected)], step.__name__
+        assert rng.random() == ref.random()  # the streams stay in step
 
 
 @given(connected_graph, st.integers(0, 2**32))
@@ -860,6 +975,10 @@ class TestRoundSource:
             lambda: build_blocker_line_oblivious(BlockerLineParams(1024, 4, epsilon=0.5)),
             lambda: build_skb_adversary(SkbAdversaryParams(64, 5)),
             lambda: build_skb_adversary(SkbAdversaryParams(256, 6)),
+            # two phases: moves across a phase boundary and out of a
+            # phase's last segment
+            lambda: build_blocker_line_invasive(BlockerLineParams(2304, 1, epsilon=0.5)),
+            lambda: build_skb_adversary(SkbAdversaryParams(2048, 7)),  # the benchmark's n
         ],
         ids=[
             "invasive-400",
@@ -868,6 +987,8 @@ class TestRoundSource:
             "oblivious-1024-eps-half",
             "skb-64",
             "skb-256",
+            "invasive-2304-two-phases",
+            "skb-2048",
         ],
     )
     def test_derived_segments_match_fresh_builds(self, build):
@@ -892,6 +1013,47 @@ class TestRoundSource:
                 snap = schedule.snapshot_at(k * span + 1)
                 views = (snap.edges, snap.directed_edges, snap.adjacency)
                 assert views == fresh[k], f"{name} walk, segment {k}"
+
+    @pytest.mark.parametrize(
+        "spec, n", [("blocker-invasive", 4096), ("skb-blocker", 2048)], ids=["invasive", "skb"]
+    )
+    def test_in_order_walk_edits_only_the_moved_pairs(self, spec, n, monkeypatch):
+        """Walked in order, a line schedule builds one line, the first, and
+        derives every later segment from the generator's moves: at most
+        five joins between blocks are removed and five added.  No later
+        order is read, so no segment pays for a whole new hop set."""
+        read, built, edits = [], [], []
+        lines = RoundSource.lines.__func__
+        line, edited = NetworkSnapshot.line.__func__, NetworkSnapshot.edited
+
+        class RecordedOrders(list):
+            def __getitem__(self, k):
+                read.append(k)
+                return super().__getitem__(k)
+
+        def recorded_lines(cls, n, orders, *rest):
+            return lines(cls, n, RecordedOrders(orders), *rest)
+
+        def counted_line(cls, n, order):
+            built.append(len(order))
+            return line(cls, n, order)
+
+        def counted_edited(self, removed, added=()):
+            removed, added = list(removed), list(added)
+            edits.append((len(removed), len(added)))
+            return edited(self, removed, added)
+
+        monkeypatch.setattr(RoundSource, "lines", classmethod(recorded_lines))
+        monkeypatch.setattr(NetworkSnapshot, "line", classmethod(counted_line))
+        monkeypatch.setattr(NetworkSnapshot, "edited", counted_edited)
+        schedule = build_schedule({"name": spec}, n, 1)
+        for t in range(1, schedule.horizon + 2):
+            schedule.snapshot_at(t).directed_edges
+        segments = math.ceil(schedule.horizon / schedule.metadata["params"]["segment_rounds"])
+        assert read == [0]
+        assert built == [n]
+        assert len(edits) == segments - 1
+        assert max(max(pair) for pair in edits) <= 5
 
     def test_flood_on_derived_lines_matches_fresh_lines(self):
         """flood_step reads `snapshot.edges` in set order, which an edit may
