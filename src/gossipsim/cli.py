@@ -76,12 +76,15 @@ def _paths_problems(schedule, sidecar: Path) -> list[str]:
     return [] if report.ok else [f"{report.reason} {report.witness}"]
 
 
+# Config, file and schedule problems are errors; timeouts are data.  A JSON
+# decode error is a ValueError.
+_CONFIG_ERRORS = (KeyError, ValueError, OSError)
+
+
 def _cmd_run(args) -> int:
-    config = ExperimentConfig.from_json(args.config)
     try:
-        rows = run_experiment(config)
-    except (KeyError, ValueError) as exc:
-        # timeouts are data; config or schedule problems are errors
+        rows = run_experiment(ExperimentConfig.from_json(args.config))
+    except _CONFIG_ERRORS as exc:
         print(f"ERROR: {exc}", file=sys.stderr)
         return 1
     for row in rows:
@@ -93,8 +96,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = ExperimentConfig.from_json(args.config)
-    summary = sweep(config)
+    try:
+        summary = sweep(ExperimentConfig.from_json(args.config))
+    except _CONFIG_ERRORS as exc:
+        print(f"ERROR: {exc}", file=sys.stderr)
+        return 1
     for n in sorted(summary.per_n):
         entry = summary.per_n[n]
         print(

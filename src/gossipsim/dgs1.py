@@ -91,6 +91,12 @@ def schedule_from_text(text: str) -> AdversarySchedule:
         if current_round is None:
             return
         if current_round >= 1:
+            if len(edges) < n - 1:  # cheap, before validate_snapshot's O(n) arrays
+                raise Dgs1Error(
+                    f"round {current_round}: disconnected ({len(edges)} edges on {n} "
+                    f"nodes; a connected round needs {n - 1})",
+                    line_no,
+                )
             check = validate_snapshot(NetworkSnapshot.from_canonical(n, edges))
             if not check:
                 raise Dgs1Error(

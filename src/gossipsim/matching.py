@@ -9,41 +9,19 @@ plan because a directed edge (u, v) can only be used by v's own matching.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .core import NetworkSnapshot, Send, TokenState, mask_tokens, token_mask
 
 
-@dataclass(frozen=True)
-class BipartiteInstance:
-    """Matching instance for one receiving node.
-
-    `left` are candidate senders (neighbors), `right` are candidate tokens
-    the receiver is missing, and `adjacency` contains (sender, token) pairs
-    where the sender holds the token.
-    """
-
-    left: tuple[int, ...]
-    right: tuple[int, ...]
-    adjacency: frozenset[tuple[int, int]]
-
-
-def max_bipartite_matching(instance: BipartiteInstance) -> set[tuple[int, int]]:
+def max_bipartite_matching(senders_of: dict[int, list[int]]) -> set[tuple[int, int]]:
     """Maximum-cardinality matching as a set of (sender, token) pairs.
 
-    Augmenting-path search seeded in ascending token order with ascending
-    sender preference, so ties among maximum matchings break
-    deterministically.  Precondition, not checked: every adjacency pair
-    has its sender in `left` and its token in `right`, as `exchange_instance`
-    builds them.
+    `senders_of` maps each candidate token to the senders holding it, in
+    ascending order.  Augmenting-path search seeded in ascending token order
+    with that sender preference, so ties among maximum matchings break
+    deterministically.
     """
-    senders_of: dict[int, list[int]] = {tok: [] for tok in instance.right}
-    for u, tok in instance.adjacency:
-        senders_of[tok].append(u)
-    for lst in senders_of.values():
-        lst.sort()
-
     match_of_sender: dict[int, int] = {}
     match_of_token: dict[int, int] = {}
 
@@ -58,31 +36,26 @@ def max_bipartite_matching(instance: BipartiteInstance) -> set[tuple[int, int]]:
                 return True
         return False
 
-    for tok in sorted(instance.right):
+    for tok in sorted(senders_of):
         try_assign(tok, set())
     return {(u, tok) for tok, u in match_of_token.items()}
 
 
 def exchange_instance(
     state: TokenState, snapshot: NetworkSnapshot, node: int, allowed: int = -1
-) -> BipartiteInstance:
-    """Build the matching instance for one receiver, restricted to the token
-    bitset `allowed` (e.g. the current reduction group; -1 allows all)."""
-    neighbors = snapshot.adjacency[node]
+) -> dict[int, list[int]]:
+    """The matching instance for one receiver: each token it lacks that some
+    neighbour holds, mapped to those neighbours in ascending order.  Only
+    tokens in the bitset `allowed` count (e.g. the current reduction group;
+    -1 allows all)."""
     holdings = state.holdings
     lacking = allowed ^ (allowed & holdings[node])
-    missing = 0
-    adjacency = []
-    for u in neighbors:
+    senders_of: dict[int, list[int]] = {}
+    for u in snapshot.adjacency[node]:  # ascending, so each list is sorted
         offered = holdings[u] & lacking
-        if offered:
-            missing |= offered
-            adjacency.extend((u, tok) for tok in mask_tokens(offered))
-    return BipartiteInstance(
-        left=tuple(neighbors),
-        right=tuple(mask_tokens(missing)),
-        adjacency=frozenset(adjacency),
-    )
+        for tok in mask_tokens(offered):
+            senders_of.setdefault(tok, []).append(u)
+    return senders_of
 
 
 def greedy_exchange_round(
@@ -95,9 +68,7 @@ def greedy_exchange_round(
     allowed = -1 if token_filter is None else token_mask(token_filter)
     plan: list[Send] = []
     for v in range(state.n):
-        instance = exchange_instance(state, snapshot, v, allowed)
-        if not instance.right:
-            continue
-        for u, tok in sorted(max_bipartite_matching(instance)):
+        senders_of = exchange_instance(state, snapshot, v, allowed)
+        for u, tok in sorted(max_bipartite_matching(senders_of)):
             plan.append((u, v, tok))
     return plan

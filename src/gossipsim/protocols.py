@@ -20,7 +20,7 @@ reproducible.
 from __future__ import annotations
 
 import random
-from typing import Callable, Mapping
+from typing import Callable
 
 from .core import Check, NetworkSnapshot, Send, TokenState, select_token
 
@@ -99,56 +99,7 @@ def sym_diff_step(
 # Arrival-history protocols
 
 
-class SkbPolicy:
-    """Send distribution depending only on (round, node, arrival times).
-
-    `masses` maps each held token to its send probability for the round; the
-    remainder up to 1 is the probability of sending nothing.  Weights may not
-    distinguish tokens with equal arrival times.
-    """
-
-    name = "skb"
-
-    def masses(
-        self, round_index: int, node: int, arrivals: Mapping[int, int]
-    ) -> dict[int, float]:
-        raise NotImplementedError
-
-    def step(
-        self, state: TokenState, snapshot: NetworkSnapshot, rng: random.Random
-    ) -> list[Send]:
-        """One round in one pass over the nodes, ascending: each node holding
-        a token makes one rng draw, picks a token from its masses (a draw
-        past them leaves it idle) and broadcasts it.
-
-        Sends where the receiver already holds the token are omitted from the
-        plan; they would be no-ops under store-copy-forward semantics.
-        """
-        plan: list[Send] = []
-        adjacency = snapshot.adjacency
-        member = state.member
-        arrivals = state.arrivals
-        round_index = state.current_round + 1
-        for node, seq in enumerate(state.holdings_seq):
-            if not seq:
-                continue
-            masses = self.masses(round_index, node, arrivals[node])
-            x, acc = rng.random(), 0.0
-            for tok in sorted(masses):
-                acc += masses[tok]
-                if x < acc:
-                    for nb in adjacency[node]:
-                        try:
-                            if member[nb][tok]:
-                                continue
-                        except IndexError:  # past the row's end: not held
-                            pass
-                        plan.append((node, nb, tok))
-                    break
-        return plan
-
-
-class UniformSkbPolicy(SkbPolicy):
+class UniformSkbPolicy:
     """Uniform over held tokens, never idle.  Symmetric by construction."""
 
     name = "skb-uniform"
@@ -163,7 +114,8 @@ class UniformSkbPolicy(SkbPolicy):
         # A uniform index into the arrival order: `rng._randbelow(m)`, which
         # is randrange(m)'s draw, inlined with its getrandbits rejection loop
         # so the stream stays the same.  A node draws even when every
-        # neighbour holds its pick.
+        # neighbour holds its pick.  Sends to a neighbour that already holds
+        # the pick are left out: under store-copy-forward they do nothing.
         plan: list[Send] = []
         adjacency = snapshot.adjacency
         member = state.member
@@ -187,27 +139,27 @@ class UniformSkbPolicy(SkbPolicy):
         return plan
 
 
-def uniform_skb() -> SkbPolicy:
-    return UniformSkbPolicy()
+SKB_MASS_TOL = 1e-9
 
 
-def check_skb_policy(
-    policy: SkbPolicy, state: TokenState, round_index: int, tol: float = 1e-9
-) -> Check:
+def check_skb_policy(policy, state: TokenState, round_index: int) -> Check:
     """Verify the transmission and symmetry constraints at the given state.
 
-    Checks, per node: zero mass on unheld tokens, total mass at most 1, and
-    equal mass for tokens with equal arrival times.  A rejection's reason is
-    the first violation and its witness the list of all of them.
+    `policy.masses(round_index, node, arrivals)` maps each held token to its
+    send probability for the round; the remainder up to 1 is the probability
+    of sending nothing, and tokens with equal arrival rounds must get equal
+    mass.  Checks, per node: zero mass on unheld tokens, total mass at most
+    1, and that symmetry.  A rejection's reason is the first violation and
+    its witness the list of all of them.
     """
     violations = []
     for node, arrivals in enumerate(state.arrivals):
         masses = policy.masses(round_index, node, arrivals)
         for tok, mass in masses.items():
-            if tok not in arrivals and mass > tol:
+            if tok not in arrivals and mass > SKB_MASS_TOL:
                 violations.append(f"node {node}: mass {mass} on unheld token {tok}")
         total = sum(masses.values())
-        if total > 1.0 + tol:
+        if total > 1.0 + SKB_MASS_TOL:
             violations.append(f"node {node}: total mass {total} exceeds 1")
         by_arrival: dict[int, list[int]] = {}
         for tok, when in arrivals.items():
@@ -217,7 +169,7 @@ def check_skb_policy(
                 continue
             ref = masses.get(toks[0], 0.0)
             for tok in toks[1:]:
-                if abs(masses.get(tok, 0.0) - ref) > tol:
+                if abs(masses.get(tok, 0.0) - ref) > SKB_MASS_TOL:
                     violations.append(
                         f"node {node}: tokens {toks[0]} and {tok} arrived at "
                         f"round {when} but have masses {ref} != {masses.get(tok, 0.0)}"
@@ -263,7 +215,9 @@ class SymDiff:
 
 
 class SkbProtocol:
-    def __init__(self, policy: SkbPolicy):
+    """Adapts an skb policy, which plans a round with its own `step`."""
+
+    def __init__(self, policy):
         self.policy = policy
         self.name = policy.name
 
@@ -283,7 +237,7 @@ class Flood:
 STEPPED_PROTOCOLS: dict[str, Callable[[], object]] = {
     "rand-diff": RandDiff,
     "sym-diff": SymDiff,
-    "skb-uniform": lambda: SkbProtocol(uniform_skb()),
+    "skb-uniform": lambda: SkbProtocol(UniformSkbPolicy()),
 }
 
 

@@ -1,5 +1,6 @@
 """Schedule file format: structure, rejections, byte-exact round trips."""
 
+import time
 import tracemalloc
 
 import pytest
@@ -76,7 +77,7 @@ class TestFormat:
         with pytest.raises(Dgs1Error) as err:
             schedule_from_text(text)
         assert err.value.line == 6
-        assert "round 2: disconnected (witness [2])" in str(err.value)
+        assert "round 2: disconnected (1 edges on 3 nodes; a connected round needs 2)" in str(err.value)
 
     def test_unsorted_edges_rejected(self):
         text = "DGS1 3 1 oblivious\nR 1\nE 1 2\nE 0 1\n"
@@ -112,9 +113,15 @@ LINE3 = "R 1\nE 0 1\nE 1 2\n"
         ("DGS1 3 oblivious\n", "bad header", 1),
         ("DGS1 x 1 oblivious\n", "non-integer header fields", 1),
         ("DGS1 3 1 sideways\n", "unknown mode 'sideways'", 1),
-        (H3 + "R 1\nE 0 1\n", "round 1: disconnected (witness [2])", 3),
+        (H3 + "R 1\nE 0 1\n", "round 1: disconnected (1 edges on 3 nodes; a connected round needs 2)", 3),
         # A round closed by the next R line is blamed on its own last line.
-        ("DGS1 3 2 oblivious\nR 1\nE 0 1\nR 2\nE 0 1\nE 1 2\n", "round 1: disconnected (witness [2])", 3),
+        (
+            "DGS1 3 2 oblivious\nR 1\nE 0 1\nR 2\nE 0 1\nE 1 2\n",
+            "round 1: disconnected (1 edges on 3 nodes; a connected round needs 2)",
+            3,
+        ),
+        # Enough edges for a tree, but a triangle and an isolated node.
+        ("DGS1 4 1 oblivious\nR 1\nE 0 1\nE 0 2\nE 1 2\n", "round 1: disconnected (witness [3])", 5),
         (H3 + "R 1\nE 0 3\nE 1 2\n", "round 1: node-out-of-range (witness (0, 3))", 4),
         (H3 + "R 1\nE -1 0\nE 0 1\nE 1 2\n", "round 1: node-out-of-range (witness (-1, 0))", 5),
         (H3 + LINE3 + "\n", "blank line", 5),
@@ -160,6 +167,28 @@ def test_import_keeps_rounds_compact():
     assert peak < 1_000_000
     assert schedule_to_text(schedule) == text
     assert schedule.snapshot_at(7) is schedule.snapshot_at(7)
+
+
+def test_huge_header_n_rejected_cheaply():
+    """A 36-byte file naming 10**7 nodes: building its round's snapshot
+    peaked at 1.17 GB RSS and 7 s; too few edges for a tree now reject it
+    first."""
+    text = "DGS1 10000000 1 oblivious\nR 1\nE 0 1\n"
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(Dgs1Error) as err:
+            schedule_from_text(text)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == (
+        "line 3: round 1: disconnected (1 edges on 10000000 nodes; "
+        "a connected round needs 9999999)"
+    )
+    assert elapsed < 1.0
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize(

@@ -333,6 +333,38 @@ class TestCli:
         assert [line.split()[0] for line in plot] == ["2.000000", "3.000000", "4.000000"]
 
     @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("sweep", {"n": [4, 8]}, "sweep needs at least 3 n values"),
+            ("sweep", {"adversary": {"name": "nope"}}, "unknown adversary 'nope'"),
+            ("run", {"n": None}, "'n'"),
+            ("run", '{"n": [4', "Expecting"),
+            ("sweep", None, "No such file"),
+        ],
+        ids=["sweep-two-n", "sweep-unknown-adversary", "run-no-n", "run-bad-json", "sweep-no-file"],
+    )
+    def test_bad_config_is_an_error_line_not_a_traceback(
+        self, tmp_path, capsys, command, text, message
+    ):
+        cfg = tmp_path / "config.json"
+        if isinstance(text, dict):
+            raw = {
+                "adversary": {"name": "static-line"},
+                "protocol": {"name": "rand-diff"},
+                "n": [4, 8, 16],
+                "seeds": [1],
+                "max_rounds": 1000,
+            }
+            raw.update(text)
+            text = json.dumps({k: v for k, v in raw.items() if v is not None})
+        if text is not None:
+            cfg.write_text(text)
+        capsys.readouterr()
+        assert cli_main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR: ") and message in err
+
+    @pytest.mark.parametrize(
         "sidecar, reason",
         [
             (None, "needs the metadata sidecar"),

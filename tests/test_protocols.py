@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from gossipsim.core import (
     AdversarySchedule,
-    EngineRun,
     NetworkSnapshot,
     TokenState,
     TokenUniverse,
@@ -16,17 +15,19 @@ from gossipsim.core import (
     run_simulation,
     validate_plan,
 )
+from gossipsim.harness import initial_state
 from gossipsim.protocols import (
+    STEPPED_PROTOCOLS,
     Flood,
     RandDiff,
-    SkbPolicy,
+    UniformSkbPolicy,
     check_skb_policy,
     flood_step,
     get_protocol,
     rand_diff_step,
     sym_diff_step,
-    uniform_skb,
 )
+from gossipsim.skb_adversary import SkbAdversaryParams, build_skb_adversary
 
 
 def two_node_state(u_tokens, v_tokens, size=None):
@@ -124,12 +125,12 @@ class TestSymDiff:
 class TestSkb:
     def test_single_token_broadcast(self):
         state = two_node_state([0], [])
-        plan = uniform_skb().step(state, EDGE, derive_rng(0))
+        plan = UniformSkbPolicy().step(state, EDGE, derive_rng(0))
         assert plan == [(0, 1, 0)]
 
     def test_empty_node_never_sends(self):
         state = two_node_state([], [0])
-        plan = uniform_skb().step(state, EDGE, derive_rng(0))
+        plan = UniformSkbPolicy().step(state, EDGE, derive_rng(0))
         assert all(send[0] != 0 for send in plan)
 
     def test_uniform_frequencies(self):
@@ -138,7 +139,7 @@ class TestSkb:
         star = NetworkSnapshot(2, [(0, 1)])
         for trial in range(trials):
             state = two_node_state([0, 1, 2, 3], [])
-            plan = uniform_skb().step(state, star, derive_rng("k", trial))
+            plan = UniformSkbPolicy().step(state, star, derive_rng("k", trial))
             sent = {send[2] for send in plan if send[0] == 0}
             assert len(sent) == 1
             counts[sent.pop()] += 1
@@ -150,7 +151,7 @@ class TestSkb:
         n = 6
         snap = NetworkSnapshot(n, [(i, (i + 1) % n) for i in range(n)])
         state = TokenState(n, TokenUniverse(n, n), {v: [v, (v + 1) % n] for v in range(n)})
-        plan = uniform_skb().step(state, snap, derive_rng(9))
+        plan = UniformSkbPolicy().step(state, snap, derive_rng(9))
         per_node_tokens = {}
         for u, _, tok in plan:
             per_node_tokens.setdefault(u, set()).add(tok)
@@ -160,7 +161,7 @@ class TestSkb:
         n = 4
         star = NetworkSnapshot(n, [(0, v) for v in range(1, n)])
         state = TokenState(n, TokenUniverse(1, 1), {0: [0]})
-        plan = uniform_skb().step(state, star, derive_rng(2))
+        plan = UniformSkbPolicy().step(state, star, derive_rng(2))
         assert sorted(plan) == [(0, v, 0) for v in range(1, n)]
 
 
@@ -178,7 +179,7 @@ class TestSkb:
         snap = SimpleNamespace(adjacency=[[sink]] * sink + [[]])
         for key in range(4):
             rng, ref = derive_rng("skb-draw", key), derive_rng("skb-draw", key)
-            plan = uniform_skb().step(state, snap, rng)
+            plan = UniformSkbPolicy().step(state, snap, rng)
             assert plan == [(i, sink, ref._randbelow(m)) for i, m in enumerate(lengths)]
             assert rng.random() == ref.random()
 
@@ -187,41 +188,20 @@ class TestSkb:
         state = TokenState(4, TokenUniverse(8, 8))
         for node, tok in [(1, 7), (1, 3), (3, 5)]:  # node 1's arrival order: 7, 3
             state.add_mask(node, 1 << tok, 0)
-        plan = uniform_skb().step(state, NetworkSnapshot(4, [(0, 1), (2, 3)]), rng)
+        plan = UniformSkbPolicy().step(state, NetworkSnapshot(4, [(0, 1), (2, 3)]), rng)
         assert plan == [(1, 0, [7, 3][ref._randbelow(2)]), (3, 2, 5)]
         ref._randbelow(1)  # a single held token still costs a draw
-        assert rng.random() == ref.random()
-
-    def test_masses_policy_draws_one_random_per_holding_node(self):
-        class Newest(SkbPolicy):
-            """All mass on the newest arrival, none on round-0 tokens."""
-
-            def masses(self, round_index, node, arrivals):
-                newest = max(arrivals.values())
-                return {tok: 1.0 for tok, t in arrivals.items() if t == newest and t > 0}
-
-        n = 3
-        snap = NetworkSnapshot(n, [(0, 1), (1, 2)])
-        state = TokenState(n, TokenUniverse(3, 3), {0: [0], 1: [1]})
-        run = EngineRun(AdversarySchedule(n, 1, [snap]), state, seed=0, max_rounds=1)
-        run.execute([(0, 1, 0)])
-        rng, ref = derive_rng("masses"), derive_rng("masses")
-        plan = Newest().step(state, snap, rng)
-        # node 0 holds only a round-0 token: idle; node 1 sends its round-1
-        # token 0 to node 2 only, since node 0 holds it
-        assert plan == [(1, 2, 0)]
-        ref.random(), ref.random()
         assert rng.random() == ref.random()
 
 
 class TestCheckSkbPolicy:
     def test_uniform_passes(self):
         state = two_node_state([0, 1], [1])
-        report = check_skb_policy(uniform_skb(), state, round_index=1)
+        report = check_skb_policy(UniformSkbPolicy(), state, round_index=1)
         assert report.ok
 
     def test_asymmetric_same_arrival_fails(self):
-        class Lopsided(uniform_skb().__class__):
+        class Lopsided(UniformSkbPolicy):
             def masses(self, round_index, node, arrivals):
                 masses = {}
                 for tok in arrivals:
@@ -234,7 +214,7 @@ class TestCheckSkbPolicy:
         assert any("arrived at round 0" in v for v in report.witness)
 
     def test_excess_mass_fails(self):
-        class Heavy(uniform_skb().__class__):
+        class Heavy(UniformSkbPolicy):
             def masses(self, round_index, node, arrivals):
                 return {tok: 0.6 for tok in arrivals}
 
@@ -244,7 +224,7 @@ class TestCheckSkbPolicy:
         assert any("exceeds 1" in v for v in report.witness)
 
     def test_unheld_mass_fails(self):
-        class Phantom(uniform_skb().__class__):
+        class Phantom(UniformSkbPolicy):
             def masses(self, round_index, node, arrivals):
                 return {99: 1.0}
 
@@ -252,6 +232,19 @@ class TestCheckSkbPolicy:
         report = check_skb_policy(Phantom(), state, round_index=1)
         assert not report.ok
         assert any("unheld" in v for v in report.witness)
+
+
+    def test_registered_policies_pass_on_a_blocker_run(self):
+        schedule = build_skb_adversary(SkbAdversaryParams(512, 7))
+        names = [name for name in STEPPED_PROTOCOLS if name.startswith("skb-")]
+        assert names
+        for name in names:
+            protocol = get_protocol(name)
+            state = initial_state({"kind": "single-source"}, 512, schedule)
+            result = run_simulation(schedule, protocol, state, schedule.horizon, seed=7)
+            assert result.rounds_executed == schedule.horizon
+            report = check_skb_policy(protocol.policy, result.final_state, schedule.horizon + 1)
+            assert report.ok, (name, report.reason)
 
 
 class TestFlood:
@@ -420,7 +413,7 @@ def test_steps_on_short_rows_match_set_references(n, size, seed):
     snap = NetworkSnapshot(n, set(zip(order, order[1:])) | extra)
     ours, ref = derive_rng("draw", seed), derive_rng("draw", seed)
     assert sym_diff_step(state, snap, ours) == reference_sym_diff(state, snap, ref)
-    assert uniform_skb().step(state, snap, ours) == reference_skb(state, snap, ref)
+    assert UniformSkbPolicy().step(state, snap, ours) == reference_skb(state, snap, ref)
     assert ours.random() == ref.random()  # the streams stay in step
     held = sorted({t for tokens in holdings.values() for t in tokens})
     for token in [-1, 0, size - 1, size, *rng.sample(held, min(5, len(held)))]:
@@ -459,7 +452,7 @@ def test_uniform_step_matches_randbelow_reference(n, size, seed):
     state = TokenState(n, TokenUniverse(size, size), holdings)
     assert len(snap.adjacency[dead]) > 2 or n < 6
     ours, ref = derive_rng("draw", seed), derive_rng("draw", seed)
-    assert uniform_skb().step(state, snap, ours) == reference_skb(state, snap, ref)
+    assert UniformSkbPolicy().step(state, snap, ours) == reference_skb(state, snap, ref)
     assert ours.random() == ref.random()  # the streams stay in step
 
 
