@@ -20,7 +20,6 @@ from .core import (
     RoundBudgetExhausted,
     Send,
     SimulationResult,
-    bfs_distances,
     mask_tokens,
     token_mask,
 )
@@ -74,16 +73,33 @@ class ItemPool:
         return {it.token for it in self.items if it.token is not None}
 
 
-def _shortest_path(snapshot: NetworkSnapshot, dist: list[int], target: int) -> list[int]:
-    """Walk back from target along lowest-id neighbors one BFS level up."""
-    path = [target]
-    node = target
+def _nearest_path(snapshot: NetworkSnapshot, sources: list[int], wanted: set[int]) -> list[int]:
+    """Shortest path from the sorted `sources` to the nearest `wanted` node,
+    ties to the lowest id.  Levels are expanded in ascending order, so each
+    node's parent is its lowest-id neighbour one level up; the search stops
+    at the first level holding a wanted node, or raises ValueError."""
     adj = snapshot.adjacency
-    while dist[node] > 0:
-        node = min(v for v in adj[node] if dist[v] == dist[node] - 1)
-        path.append(node)
-    path.reverse()
-    return path
+    parent = [-1] * snapshot.n  # a source is its own parent
+    for s in sources:
+        parent[s] = s
+    level = sources
+    while level:
+        for v in level:
+            if v in wanted:  # the level is sorted, so v is its lowest wanted id
+                path = [v]
+                while parent[v] != v:
+                    v = parent[v]
+                    path.append(v)
+                return path[::-1]
+        nxt = []
+        for u in level:
+            for v in adj[u]:
+                if parent[v] < 0:
+                    parent[v] = u
+                    nxt.append(v)
+        nxt.sort()
+        level = nxt
+    raise ValueError("no wanted node is reachable from the sources")
 
 
 def load_balance(
@@ -140,17 +156,10 @@ def load_balance(
                 f"{total - placed} items unplaced after {rounds} rounds"
             )
         snapshot = run.current_snapshot()
-        below_floor = [v for v in R if counts[v] < floor_q]
-        candidates = below_floor or [v for v in R if counts[v] < ceil_q]
-        if pending:
-            sources = F
-        else:
-            sources = sorted(queues)
-            if not sources:
-                break  # unreachable: placed < total implies items somewhere
-        dist = bfs_distances(snapshot, sources)
-        target = min(candidates, key=lambda v: (dist[v], v))
-        path = _shortest_path(snapshot, dist, target)
+        below_floor = {v for v in R if counts[v] < floor_q}
+        wanted = below_floor or {v for v in R if counts[v] < ceil_q}
+        path = _nearest_path(snapshot, F if pending else sorted(queues), wanted)
+        target = path[-1]
 
         plan: list[Send] = []
         moves: list[tuple[Item, int | None, int]] = []  # (item, from-queue, to)

@@ -81,12 +81,21 @@ def _paths_problems(schedule, sidecar: Path) -> list[str]:
 _CONFIG_ERRORS = (KeyError, ValueError, OSError)
 
 
+def _config_error(exc: Exception) -> int:
+    # A KeyError's str() quotes its argument: print a message as it is, and
+    # name a bare key (a config field, say) as missing.
+    if isinstance(exc, KeyError):
+        arg = str(exc.args[0]) if exc.args else ""
+        exc = arg if " " in arg else f"missing key {arg!r}"
+    print(f"ERROR: {exc}", file=sys.stderr)
+    return 1
+
+
 def _cmd_run(args) -> int:
     try:
         rows = run_experiment(ExperimentConfig.from_json(args.config))
     except _CONFIG_ERRORS as exc:
-        print(f"ERROR: {exc}", file=sys.stderr)
-        return 1
+        return _config_error(exc)
     for row in rows:
         print(
             f"n={row['n']} seed={row['seed']} completion={row['completion_round']}"
@@ -99,8 +108,7 @@ def _cmd_sweep(args) -> int:
     try:
         summary = sweep(ExperimentConfig.from_json(args.config))
     except _CONFIG_ERRORS as exc:
-        print(f"ERROR: {exc}", file=sys.stderr)
-        return 1
+        return _config_error(exc)
     for n in sorted(summary.per_n):
         entry = summary.per_n[n]
         print(

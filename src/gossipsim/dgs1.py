@@ -115,50 +115,55 @@ def schedule_from_text(text: str) -> AdversarySchedule:
         round_inserts = []
 
     line_no = 1
-    for line_no, raw in enumerate(lines, start=2):
-        parts = raw.split()
-        if not parts:
-            raise Dgs1Error("blank line", line_no)
-        kind = parts[0]
-        if kind == "R":
-            if len(parts) != 2:
-                raise Dgs1Error("malformed round line", line_no)
-            close_round(line_no - 1)
-            t = int(parts[1])
-            if current_round is None:
-                if t not in (0, 1):
-                    raise Dgs1Error(f"first round block must be 0 or 1, got {t}", line_no)
-            elif t != current_round + 1:
-                raise Dgs1Error(
-                    f"round {t} out of order (expected {current_round + 1})", line_no
-                )
-            current_round = t
-        elif kind == "E":
-            if current_round is None or len(parts) != 3:
-                raise Dgs1Error("edge line outside round block or malformed", line_no)
-            u, v = int(parts[1]), int(parts[2])
-            if u >= v:
-                raise Dgs1Error(f"edge ({u}, {v}) not in u < v form", line_no)
-            if edges and (u, v) <= edges[-1]:
-                raise Dgs1Error(f"edge ({u}, {v}) out of order", line_no)
-            if round_inserts:
-                raise Dgs1Error("edge line after insertion lines", line_no)
-            edges.append((u, v))
-        elif kind == "I":
-            if current_round is None or len(parts) != 3:
-                raise Dgs1Error("insertion line outside round block or malformed", line_no)
-            node, token = int(parts[1]), int(parts[2])
-            prev, mask = round_inserts[-1] if round_inserts else (-1, 0)
-            if (node, token) <= (prev, mask.bit_length() - 1) or min(node, token) < 0:
-                raise Dgs1Error(f"insertion ({node}, {token}) negative or out of order", line_no)
-            if node >= n:
-                raise Dgs1Error(f"insertion node {node} outside [0, {n})", line_no)
-            if node == prev:
-                round_inserts[-1] = (node, mask | 1 << token)
+    try:
+        for line_no, raw in enumerate(lines, start=2):
+            parts = raw.split()
+            if not parts:
+                raise Dgs1Error("blank line", line_no)
+            kind = parts[0]
+            if kind == "R":
+                if len(parts) != 2:
+                    raise Dgs1Error("malformed round line", line_no)
+                close_round(line_no - 1)
+                t = int(parts[1])
+                if current_round is None:
+                    if t not in (0, 1):
+                        raise Dgs1Error(f"first round block must be 0 or 1, got {t}", line_no)
+                elif t != current_round + 1:
+                    raise Dgs1Error(
+                        f"round {t} out of order (expected {current_round + 1})", line_no
+                    )
+                current_round = t
+            elif kind == "E":
+                if current_round is None or len(parts) != 3:
+                    raise Dgs1Error("edge line outside round block or malformed", line_no)
+                u, v = int(parts[1]), int(parts[2])
+                if u >= v:
+                    raise Dgs1Error(f"edge ({u}, {v}) not in u < v form", line_no)
+                if edges and (u, v) <= edges[-1]:
+                    raise Dgs1Error(f"edge ({u}, {v}) out of order", line_no)
+                if round_inserts:
+                    raise Dgs1Error("edge line after insertion lines", line_no)
+                edges.append((u, v))
+            elif kind == "I":
+                if current_round is None or len(parts) != 3:
+                    raise Dgs1Error("insertion line outside round block or malformed", line_no)
+                node, token = int(parts[1]), int(parts[2])
+                prev, mask = round_inserts[-1] if round_inserts else (-1, 0)
+                if (node, token) <= (prev, mask.bit_length() - 1) or min(node, token) < 0:
+                    raise Dgs1Error(f"insertion ({node}, {token}) negative or out of order", line_no)
+                if node >= n:
+                    raise Dgs1Error(f"insertion node {node} outside [0, {n})", line_no)
+                if node == prev:
+                    round_inserts[-1] = (node, mask | 1 << token)
+                else:
+                    round_inserts.append((node, 1 << token))
             else:
-                round_inserts.append((node, 1 << token))
-        else:
-            raise Dgs1Error(f"unknown record {kind!r}", line_no)
+                raise Dgs1Error(f"unknown record {kind!r}", line_no)
+    except Dgs1Error:
+        raise
+    except ValueError:  # only int() raises a plain ValueError here
+        raise Dgs1Error("non-integer fields", line_no) from None
     close_round(line_no)
 
     if len(ends) - 1 != horizon:

@@ -112,6 +112,9 @@ LINE3 = "R 1\nE 0 1\nE 1 2\n"
         ("\n", "bad header", 1),
         ("DGS1 3 oblivious\n", "bad header", 1),
         ("DGS1 x 1 oblivious\n", "non-integer header fields", 1),
+        (H3 + "R x\n", "non-integer fields", 2),
+        (H3 + "R 1\nE 0 1\nE a b\n", "non-integer fields", 4),
+        (I3 + LINE3 + "I 0 1.5\n", "non-integer fields", 5),
         ("DGS1 3 1 sideways\n", "unknown mode 'sideways'", 1),
         (H3 + "R 1\nE 0 1\n", "round 1: disconnected (1 edges on 3 nodes; a connected round needs 2)", 3),
         # A round closed by the next R line is blamed on its own last line.

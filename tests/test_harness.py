@@ -365,6 +365,30 @@ class TestCli:
         assert err.startswith("ERROR: ") and message in err
 
     @pytest.mark.parametrize(
+        "change, line",
+        [
+            ({"n": None}, "ERROR: missing key 'n'"),
+            ({"adversary": {"policy": "round-robin"}}, "ERROR: missing key 'name'"),
+            ({"adversary": {"name": "nope"}}, "ERROR: unknown adversary 'nope'"),
+        ],
+        ids=["missing-n", "adversary-without-name", "unknown-adversary"],
+    )
+    def test_config_error_line_names_the_problem(self, tmp_path, capsys, change, line):
+        raw = {
+            "adversary": {"name": "static-line"},
+            "protocol": {"name": "rand-diff"},
+            "n": [4],
+            "seeds": [1],
+            "max_rounds": 100,
+        }
+        raw.update(change)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({k: v for k, v in raw.items() if v is not None}))
+        capsys.readouterr()
+        assert cli_main(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == line + "\n"
+
+    @pytest.mark.parametrize(
         "sidecar, reason",
         [
             (None, "needs the metadata sidecar"),
