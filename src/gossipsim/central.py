@@ -1,5 +1,5 @@
-"""Centralized token dissemination: load balancing, greedy exchange stages,
-single-source broadcast, and the full k-token pipeline.
+"""Centralized token dissemination: load balancing, single-source broadcast
+with greedy exchange rounds, and the full k-token pipeline.
 
 The scheduler sees the full current snapshot and token state each round but
 never future snapshots.  Stage budgets follow the floor-and-clamp convention
@@ -40,37 +40,19 @@ class StageLog:
     detail: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class Item:
-    """One distributable unit: a copy of a token, or a padding blank.
-
-    Padding items (token None) occupy pipeline slots and satisfy size
-    requirements but produce no wire transmission.
-    """
-
-    item_id: int
-    token: int | None
-
-
 class ItemPool:
-    """Multiset of items with a seeded random rank permutation."""
+    """Items with a seeded random rank permutation.  An item is an index into
+    `tokens`: a copy of a token, or None for a padding blank, which occupies
+    a pipeline slot but produces no wire transmission."""
 
     def __init__(self, tokens: Sequence[int | None], rng: random.Random):
-        self.items = [Item(i, tok) for i, tok in enumerate(tokens)]
-        order = list(range(len(self.items)))
-        rng.shuffle(order)
-        # ranks[item_id] = position in injection order
-        self.ranks = {item_id: pos for pos, item_id in enumerate(order)}
-        self._by_rank = [self.items[item_id] for item_id in order]
+        self.tokens = list(tokens)
+        self.order = list(range(len(self.tokens)))  # item ids in injection order
+        rng.shuffle(self.order)
+        self.ranks = {item: pos for pos, item in enumerate(self.order)}
 
     def __len__(self):
-        return len(self.items)
-
-    def in_rank_order(self) -> list[Item]:
-        return list(self._by_rank)
-
-    def underlying_tokens(self) -> set[int]:
-        return {it.token for it in self.items if it.token is not None}
+        return len(self.tokens)
 
 
 def _nearest_path(snapshot: NetworkSnapshot, sources: list[int], wanted: set[int]) -> list[int]:
@@ -132,7 +114,8 @@ def load_balance(
     state = run.state
     if set(F) | set(R) != set(range(state.n)):
         raise ValueError("full set and target set must cover all nodes")
-    needed = token_mask(pool.underlying_tokens())
+    tokens = pool.tokens
+    needed = token_mask(tok for tok in tokens if tok is not None)
     for f in F:
         missing = needed ^ (needed & state.holdings[f])
         if missing:
@@ -141,8 +124,9 @@ def load_balance(
     total = len(pool)
     floor_q, rem = divmod(total, len(R))
     ceil_q = floor_q + (1 if rem else 0)
-    pending = pool.in_rank_order()
-    queues: dict[int, list[Item]] = {}
+    order = pool.order
+    injected = 0
+    queues: dict[int, list[int]] = {}
     counts = {v: 0 for v in R}
     assignment: dict[int, int] = {}
     plans: list[list[Send]] = []
@@ -158,44 +142,38 @@ def load_balance(
         snapshot = run.current_snapshot()
         below_floor = {v for v in R if counts[v] < floor_q}
         wanted = below_floor or {v for v in R if counts[v] < ceil_q}
+        pending = injected < total
         path = _nearest_path(snapshot, F if pending else sorted(queues), wanted)
         target = path[-1]
 
         plan: list[Send] = []
-        moves: list[tuple[Item, int | None, int]] = []  # (item, from-queue, to)
-        for idx in range(len(path) - 1):
-            node, nxt = path[idx], path[idx + 1]
+        moves: list[tuple[int, int | None, int]] = []  # (item, from-queue, to)
+        # A one-node path is a target that is its own source: the item lands
+        # with no send.
+        hops = list(zip(path, path[1:])) or [(target, target)]
+        for idx, (node, nxt) in enumerate(hops):
             if idx == 0 and pending:
-                item = pending[0]
-                moves.append((item, None, nxt))
-                if item.token is not None:
-                    plan.append((node, nxt, item.token))
+                item, origin = order[injected], None
+            elif queues.get(node):
+                item, origin = queues[node][0], node
             else:
-                q = queues.get(node)
-                if q:
-                    item = q[0]
-                    moves.append((item, node, nxt))
-                    if item.token is not None:
-                        plan.append((node, nxt, item.token))
-        if len(path) == 1:
-            # Target coincides with the source; the item lands with no send.
-            if pending:
-                moves.append((pending[0], None, target))
-            elif queues.get(target):
-                moves.append((queues[target][0], target, target))
+                continue
+            moves.append((item, origin, nxt))
+            if tokens[item] is not None and node != nxt:
+                plan.append((node, nxt, tokens[item]))
 
         run.execute(plan)
         plans.append(plan)
         rounds += 1
         for item, origin, dest in moves:
             if origin is None:
-                pending.pop(0)
+                injected += 1
             else:
                 queues[origin].pop(0)
                 if not queues[origin]:
                     del queues[origin]
             if dest == target:
-                assignment[item.item_id] = dest
+                assignment[item] = dest
                 counts[dest] += 1
                 placed += 1
                 # One delivery per round: only the path's last hop reaches
@@ -223,8 +201,6 @@ class CentralParams:
 
     c_phase: float = 1.0
     c_stage: float = 3.0
-    c_ex: float = 1.0
-    c_cap: float = 8.0
     c_s: float = 2.0
     mode: str = "naive"  # k-gossip strategy: naive | staged
 
@@ -343,7 +319,6 @@ class GossipOutcome:
     result: SimulationResult
     stage_logs: list[StageLog]
     stalled: str | None = None
-    strategy: str = "staged"
 
 
 def k_gossip_centralized(
@@ -360,23 +335,23 @@ def k_gossip_centralized(
     * staged: per reduction group, (a) flood each group token for
       ceil(sqrt(n)) rounds, (b) pick a greedy cover of token holders,
       (c) load-balance each cover node's copied-and-padded multiset over all
-      nodes, (d) greedy-exchange until some node nears group completion,
-      (e) broadcast that node's set, (f) flood the leftovers.  The run stops
-      once every real token is everywhere: before each stage, between the
-      floods and load-balances of a stage, and between n_broadcast's
+      nodes, (e) broadcast the set of the node holding the most group
+      tokens, (f) flood the leftovers.  Letter (d) is unused: README gives
+      the measurements that removed a greedy-exchange stage there.  The run
+      stops once every real token is everywhere: before each stage, between
+      the floods and load-balances of a stage, and between n_broadcast's
       load-balances and exchange rounds.
 
-    Stalls (cover too large, exchange cap, round budget, a stalled load
-    balance) yield a marked outcome identifying the stage.
+    Stalls (cover too large, round budget, a stalled load balance) yield a
+    marked outcome identifying the stage.
     """
-    strategy = params.mode
-    if strategy not in ("naive", "staged"):
-        raise ValueError(f"unknown k-gossip mode {strategy!r} (naive or staged)")
+    if params.mode not in ("naive", "staged"):
+        raise ValueError(f"unknown k-gossip mode {params.mode!r} (naive or staged)")
     state = run.state
     n = state.n
     if k != state.universe.real_count:
         raise ValueError("k must match the universe's real token count")
-    groups, dummies = reduce_k_to_n(k, n)
+    groups, _ = reduce_k_to_n(k, n)
     if state.universe.size != len(groups) * n:
         raise ValueError(
             f"universe size {state.universe.size} != padded size {len(groups) * n}"
@@ -384,14 +359,14 @@ def k_gossip_centralized(
 
     logs: list[StageLog] = []
     try:
-        if strategy == "naive":
+        if params.mode == "naive":
             start = run.rounds_executed
             for tok in range(k):
                 if run.complete():
                     break
                 _flood_token(run, tok, max_rounds=n)
             logs.append(StageLog("naive-broadcast", run.rounds_executed - start))
-            return GossipOutcome(run.result(), logs, None, strategy)
+            return GossipOutcome(run.result(), logs)
 
         sqrt_rounds = math.ceil(math.sqrt(n))
         log2n = math.log2(max(2, n))
@@ -425,11 +400,11 @@ def k_gossip_centralized(
                 )
                 gain = holdings[best] & uncovered
                 if not gain:
-                    return GossipOutcome(run.result(), logs, f"{tag}-cover-unhit", strategy)
+                    return GossipOutcome(run.result(), logs, f"{tag}-cover-unhit")
                 allocation[best] = mask_tokens(gain)
                 uncovered ^= uncovered & gain
                 if len(allocation) > cover_cap:
-                    return GossipOutcome(run.result(), logs, f"{tag}-cover-cap", strategy)
+                    return GossipOutcome(run.result(), logs, f"{tag}-cover-cap")
 
             start = run.rounds_executed
             lb_counter = 0
@@ -449,21 +424,6 @@ def k_gossip_centralized(
             if run.complete():
                 break
 
-            threshold = n - math.ceil(params.c_ex * math.sqrt(n) * log2n)
-            exchange_cap = math.ceil(params.c_cap * n * math.sqrt(n) * log2n)
-            start = run.rounds_executed
-            while (
-                max((h & group_mask).bit_count() for h in holdings) < threshold
-                and not run.complete()
-            ):
-                if run.rounds_executed - start >= exchange_cap:
-                    logs.append(StageLog(f"{tag}-exchange", run.rounds_executed - start))
-                    return GossipOutcome(run.result(), logs, f"{tag}-exchange-cap", strategy)
-                run.execute(greedy_exchange_round(state, run.current_snapshot(), group))
-            logs.append(StageLog(f"{tag}-exchange", run.rounds_executed - start))
-            if run.complete():
-                break
-
             best = max(range(n), key=lambda v: ((holdings[v] & group_mask).bit_count(), -v))
             broadcast_set = mask_tokens(holdings[best] & group_mask)
             start = run.rounds_executed
@@ -471,9 +431,7 @@ def k_gossip_centralized(
             logs.extend(outcome.stage_logs)
             logs.append(StageLog(f"{tag}-broadcast", run.rounds_executed - start))
             if not outcome.done:
-                return GossipOutcome(
-                    run.result(), logs, f"{tag}-broadcast-{outcome.stalled}", strategy
-                )
+                return GossipOutcome(run.result(), logs, f"{tag}-broadcast-{outcome.stalled}")
             if run.complete():
                 break
 
@@ -490,8 +448,8 @@ def k_gossip_centralized(
                     detail={"residual_tokens": len(residual)},
                 )
             )
-        return GossipOutcome(run.result(), logs, None, strategy)
+        return GossipOutcome(run.result(), logs)
     except RoundBudgetExhausted:
-        return GossipOutcome(run.result(), logs, "round-budget", strategy)
+        return GossipOutcome(run.result(), logs, "round-budget")
     except LoadBalanceStalled:
-        return GossipOutcome(run.result(), logs, "load-balance-stalled", strategy)
+        return GossipOutcome(run.result(), logs, "load-balance-stalled")

@@ -29,8 +29,8 @@ from .paths import path_family, validate_paths_respecting
 
 
 def _cmd_gen(args) -> int:
-    spec = {"name": args.adversary, "seed": args.seed, "horizon": args.horizon}
-    for key in ("policy", "r", "extra_edge_prob", "epsilon"):
+    spec = {"name": args.adversary, "seed": args.seed}
+    for key in ("horizon", "policy", "r", "extra_edge_prob", "epsilon"):
         if getattr(args, key) is not None:
             spec[key] = getattr(args, key)
     try:
@@ -139,7 +139,7 @@ def main(argv=None) -> int:
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--out", required=True)
-    gen.add_argument("--horizon", type=int, default=1)
+    gen.add_argument("--horizon", type=int, help="required by random, ring-failure, center-terminal")
     gen.add_argument("--policy", default=None)
     gen.add_argument("--r", type=int, default=None)
     gen.add_argument("--extra-edge-prob", type=float, default=None)

@@ -72,10 +72,14 @@ def build_schedule(spec: dict, n: int, fallback_seed: int) -> AdversarySchedule:
 
     A seed inside the adversary dict pins the schedule across cells;
     otherwise the cell seed applies (schedule-construction randomness and
-    protocol randomness still come from disjoint derivation streams).
+    protocol randomness still come from disjoint derivation streams).  The
+    dynamic generators need a horizon: past it a schedule repeats its last
+    graph, so a default would quietly turn them static.
     """
     name = spec["name"]
     seed = spec.get("seed", fallback_seed)
+    if name in ("random", "ring-failure", "center-terminal") and "horizon" not in spec:
+        raise KeyError(f"{name} needs horizon")
     horizon = spec.get("horizon", 1)
     if name == "static-line":
         return _static_schedule(n, [(i, i + 1) for i in range(n - 1)], name, horizon)
@@ -313,8 +317,11 @@ def run_cell(config: ExperimentConfig, n: int, seed: int, keep_result: bool = Fa
 
 
 def _central_params(protocol_spec: dict) -> CentralParams:
-    keys = ("c_phase", "c_stage", "c_ex", "c_cap", "c_s", "mode")
-    return CentralParams(**{key: protocol_spec[key] for key in keys if key in protocol_spec})
+    params = {key: value for key, value in protocol_spec.items() if key != "name"}
+    unknown = sorted(params.keys() - {f.name for f in fields(CentralParams)})
+    if unknown:
+        raise KeyError(f"unknown {protocol_spec['name']} key {unknown[0]!r}")
+    return CentralParams(**params)
 
 
 def _cell_task(payload) -> dict:

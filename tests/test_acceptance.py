@@ -117,7 +117,7 @@ def test_criterion_02_load_balance_b3_uniformity():
         _, assignment, _ = load_balance(run, [0], [1, 2, 3, 4], pool)
         per_node = {v: [] for v in range(1, 5)}
         for item_id, node in assignment.items():
-            per_node[node].append(pool.items[item_id].token)
+            per_node[node].append(pool.tokens[item_id])
         for v in range(1, 5):
             counts[v][index[tuple(sorted(per_node[v]))]] += 1
     pvalues = {v: scipy_stats.chisquare(counts[v]).pvalue for v in counts}

@@ -22,7 +22,6 @@ from gossipsim.core import (
     TokenState,
     TokenUniverse,
     derive_rng,
-    token_mask,
 )
 from gossipsim.harness import ExperimentConfig, run_cell
 from gossipsim.paths import build_ring_failure
@@ -89,7 +88,7 @@ class TestLoadBalance:
         pool = ItemPool(list(range(6)), derive_rng("lb", 4))
         _, assignment, _ = load_balance(run, [0], [1, 2, 3], pool)
         for item_id, node in assignment.items():
-            token = pool.items[item_id].token
+            token = pool.tokens[item_id]
             assert run.state.holds(node, token)
 
     def test_padding_items_place_without_sends(self):
@@ -244,7 +243,7 @@ class TestKGossip:
             complete_graph(n), {0: range(universe.size)}, universe, max_rounds=200000
         )
         outcome = k_gossip_centralized(run, k, CentralParams(mode="staged"))
-        assert outcome.strategy == "staged"
+        assert outcome.stage_logs[0].stage == "group-0-consolidation"
         assert outcome.stalled is None
         assert outcome.result.completion_round is not None
 
@@ -298,7 +297,7 @@ class TestKGossip:
         schedule = build_random_interval_connected(n, 0.1, seed=9, horizon=n * k)
         run = fresh_run(schedule, {0: range(universe.size)}, universe, max_rounds=n * k)
         outcome = k_gossip_centralized(run, k)
-        assert outcome.strategy == "naive"
+        assert [log.stage for log in outcome.stage_logs] == ["naive-broadcast"]
         assert outcome.result.completion_round is not None
         assert outcome.result.completion_round <= n * k
 
@@ -355,25 +354,6 @@ class TestKGossipOnInvasiveSchedules:
         outcome = k_gossip_centralized(run, n, CentralParams(mode=mode))
         assert outcome.stalled is None
         assert outcome.result.completion_round == completion
-
-    def test_exchange_counts_include_inserted_tokens(self):
-        """One token per node on a static 36-cycle: the staged exchange of
-        group 0 starts in round 764, and with c_ex = 0.02 it runs until a
-        node holds 35 group tokens.  Inserting 34 of them at node 0 in that
-        round (it holds token 0) ends the exchange after one round.
-        Counting only sent arrivals ran it for 4 rounds."""
-        n = 36
-        masks = {764: [(0, token_mask(range(1, n - 1)))]}
-        schedule = AdversarySchedule(
-            n, 1, [NetworkSnapshot(n, [(i, (i + 1) % n) for i in range(n)])], masks, "invasive",
-            cyclic_extendable=True,
-        )
-        run = fresh_run(schedule, {v: [v] for v in range(n)}, TokenUniverse(n, n), seed=1)
-        outcome = k_gossip_centralized(run, n, CentralParams(mode="staged", c_ex=0.02))
-        rounds = {log.stage: log.rounds for log in outcome.stage_logs}
-        assert rounds["group-0-consolidation"] + rounds["group-0-distribution"] == 763
-        assert rounds["group-0-exchange"] == 1
-        assert outcome.stalled is None and outcome.result.completion_round == 953
 
 
 class TestLoadBalanceStalls:

@@ -82,25 +82,31 @@ def test_unreachable_wanted_nodes_raise():
         central._nearest_path(NetworkSnapshot(3, []), [0, 1], {2})
 
 
+SOURCE_128 = {"kind": "single-source", "tokens": 128}
+
+
 @pytest.mark.parametrize(
-    "adversary, n, tokens, calls, rounds, digest",
+    "adversary, n, initial, calls, rounds, digest",
     [
-        ({"name": "static-line"}, 64, 128, 4, 5065, "b170b1f3c3466c18"),
+        ({"name": "static-line"}, 64, SOURCE_128, 4, 5065, "b170b1f3c3466c18"),
         (
             {"name": "ring-failure", "policy": "round-robin", "horizon": 8192},
-            64, 128, 4, 3192, "8a08ef69306759ab",
+            64, SOURCE_128, 4, 3192, "8a08ef69306759ab",
         ),
         (
             {"name": "random", "extra_edge_prob": 0.1, "horizon": 2048},
-            32, 128, 3, 621, "d5f51f18b7324ca5",
+            32, SOURCE_128, 3, 621, "d5f51f18b7324ca5",
         ),
+        ({"name": "static-line"}, 64, {"kind": "one-token-per-node"}, 5, 3763, "892d374f76fa686b"),
     ],
-    ids=["static-line", "ring-failure", "random"],
+    ids=["static-line", "ring-failure", "random", "static-line-per-node"],
 )
-def test_staged_load_balance_plans_pinned(monkeypatch, adversary, n, tokens, calls, rounds, digest):
+def test_staged_load_balance_plans_pinned(monkeypatch, adversary, n, initial, calls, rounds, digest):
     """Every load-balance call's plans in a staged central k-gossip cell,
     seed 1, hashed in call order: a changed target or path tie-break moves
-    the digest even where completion rounds stay the same."""
+    the digest even where completion rounds stay the same.  The single
+    sources cover their group from one node; one token per node covers it
+    from many, each padding its copies with blanks."""
     real = central.load_balance
     plans_seen = []
 
@@ -113,7 +119,7 @@ def test_staged_load_balance_plans_pinned(monkeypatch, adversary, n, tokens, cal
     config = ExperimentConfig(
         adversary,
         {"name": "central-kgossip", "mode": "staged"},
-        {"kind": "single-source", "tokens": tokens},
+        initial,
         [n], [1], 400000,
     )
     assert run_cell(config, n, 1).completion_round is not None

@@ -282,7 +282,7 @@ class TestCli:
         built = build_schedule({"name": "center-terminal", "r": 6, "horizon": 20}, 12, 3)
         assert out.read_text() == schedule_to_text(built)
         assert cli_main(["validate", str(out), "--paths"]) == 0
-        no_r = ["gen", "--adversary", "center-terminal", "--n", "12", "--seed", "3"]
+        no_r = ["gen", "--adversary", "center-terminal", "--n", "12", "--seed", "3", "--horizon", "20"]
         assert cli_main(no_r + ["--out", str(tmp_path / "no_r.dgs")]) == 2
         assert not (tmp_path / "no_r.dgs").exists()
 
@@ -370,8 +370,23 @@ class TestCli:
             ({"n": None}, "ERROR: missing key 'n'"),
             ({"adversary": {"policy": "round-robin"}}, "ERROR: missing key 'name'"),
             ({"adversary": {"name": "nope"}}, "ERROR: unknown adversary 'nope'"),
+            (
+                {"adversary": {"name": "ring-failure", "policy": "round-robin"}},
+                "ERROR: ring-failure needs horizon",
+            ),
+            (
+                {"protocol": {"name": "central-broadcast", "c_cap": 8.0}},
+                "ERROR: unknown central-broadcast key 'c_cap'",
+            ),
+            (
+                {"protocol": {"name": "central-kgossip", "mode": "staged", "c_ex": 1.0}},
+                "ERROR: unknown central-kgossip key 'c_ex'",
+            ),
         ],
-        ids=["missing-n", "adversary-without-name", "unknown-adversary"],
+        ids=[
+            "missing-n", "adversary-without-name", "unknown-adversary",
+            "dynamic-without-horizon", "central-broadcast-unknown-key", "central-kgossip-unknown-key",
+        ],
     )
     def test_config_error_line_names_the_problem(self, tmp_path, capsys, change, line):
         raw = {
@@ -516,8 +531,6 @@ class TestCentralDispatch:
                 "mode": "staged",
                 "c_phase": 1.0,
                 "c_stage": 3.0,
-                "c_ex": 1.0,
-                "c_cap": 8.0,
                 "c_s": 2.0,
             },
             initial={"kind": "single-source"},
