@@ -139,7 +139,7 @@ def main(argv=None) -> int:
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--out", required=True)
-    gen.add_argument("--horizon", type=int, help="required by random, ring-failure, center-terminal")
+    gen.add_argument("--horizon", type=int, default=None, help="required by random, ring-failure, center-terminal")
     gen.add_argument("--policy", default=None)
     gen.add_argument("--r", type=int, default=None)
     gen.add_argument("--extra-edge-prob", type=float, default=None)
