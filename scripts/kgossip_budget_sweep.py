@@ -15,7 +15,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from gossipsim.central import CentralParams, k_gossip_centralized, reduce_k_to_n  # noqa: E402
+from gossipsim.central import k_gossip_centralized, pad_state_for_kgossip  # noqa: E402
 from gossipsim.core import EngineRun, TokenState, TokenUniverse  # noqa: E402
 from gossipsim.random_schedules import build_random_interval_connected  # noqa: E402
 
@@ -30,11 +30,9 @@ def run_grid(n_values, seeds, mode):
                 schedule = build_random_interval_connected(
                     n, 0.1, seed=seed, horizon=min(budget, 4096)
                 )
-                groups, _ = reduce_k_to_n(k, n)
-                universe = TokenUniverse(len(groups) * n, k)
-                state = TokenState(n, universe, {0: range(universe.size)})
+                state = pad_state_for_kgossip(TokenState(n, TokenUniverse(k, k), {0: range(k)}))
                 run = EngineRun(schedule, state, seed, max_rounds=8 * budget)
-                outcome = k_gossip_centralized(run, k, CentralParams(mode=mode))
+                outcome = k_gossip_centralized(run, mode)
                 completions.append(outcome.result.completion_round)
             print(
                 f"n={n:3d} k={k:4d} budget={budget:7d} completions={completions}"

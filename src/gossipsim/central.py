@@ -2,9 +2,9 @@
 with greedy exchange rounds, and the full k-token pipeline.
 
 The scheduler sees the full current snapshot and token state each round but
-never future snapshots.  Stage budgets follow the floor-and-clamp convention
-with config-exposed constants; every stage logs the rounds it consumed and
-any overage beyond its nominal budget.
+never future snapshots.  Stage budgets are ceilings of the analysis's
+asymptotics with fixed constants; every stage logs the rounds it consumed
+and any overage beyond its nominal budget.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from .core import (
     RoundBudgetExhausted,
     Send,
     SimulationResult,
+    TokenState,
+    TokenUniverse,
     mask_tokens,
     token_mask,
 )
@@ -195,20 +197,9 @@ def load_balance(
 # Broadcast and gossip stages
 
 
-@dataclass(frozen=True)
-class CentralParams:
-    """Stage constants (the analysis fixes only asymptotics)."""
-
-    c_phase: float = 1.0
-    c_stage: float = 3.0
-    c_s: float = 2.0
-    mode: str = "naive"  # k-gossip strategy: naive | staged
-
-
 @dataclass
 class BroadcastOutcome:
-    done: bool
-    stalled: str | None
+    stalled: str | None  # None once every node holds the set (or the run is complete)
     stage_logs: list[StageLog]
 
 
@@ -230,19 +221,18 @@ def _flood_token(run: EngineRun, token: int, max_rounds: int) -> int:
 def n_broadcast(
     run: EngineRun,
     source: int,
-    params: CentralParams = CentralParams(),
     tokens: Iterable[int] | None = None,
 ) -> BroadcastOutcome:
     """Disseminate the source's token set to every node.
 
-    Runs stages of distribute-then-exchange phases: each phase load-balances
-    one item per token over the currently non-full nodes, then runs n greedy
-    exchange rounds.  Stage count is capped at ceil(c_stage * log2 n) and
-    phases per stage at ceil(c_phase * sqrt(n) * log2 n); exhausting the caps,
-    the round budget or a load balance's safety allowance yields a marked
-    outcome, never a silent loop or an escaping error.  The broadcast also ends,
-    as done, once the run is complete: dummy tokens of the set (k-gossip
-    padding) that are not yet everywhere are left where they are.
+    Runs distribute-then-exchange phases: each phase load-balances one item
+    per token over the currently non-full nodes, then runs up to n greedy
+    exchange rounds, and logs its rounds as `broadcast-phase-{i}`.  Phases
+    are capped at ceil(3 log2 n) * ceil(sqrt(n) log2 n); exhausting the cap
+    (`phase-budget`), the round budget or a load balance's safety allowance
+    yields a marked outcome, never a silent loop or an escaping error.  The
+    broadcast also ends once the run is complete: dummy tokens of the set
+    (k-gossip padding) that are not yet everywhere are left where they are.
     """
     state = run.state
     n = state.n
@@ -251,10 +241,9 @@ def n_broadcast(
     if token_set ^ (token_set & holdings[source]):
         raise ValueError("source does not hold the full broadcast set")
     if not token_set:
-        return BroadcastOutcome(True, None, [])
+        return BroadcastOutcome(None, [])
     log2n = math.log2(max(2, n))
-    stage_cap = max(1, math.ceil(params.c_stage * log2n))
-    phase_cap = max(1, math.ceil(params.c_phase * math.sqrt(n) * log2n))
+    phase_cap = math.ceil(3 * log2n) * math.ceil(math.sqrt(n) * log2n)
     ordered = mask_tokens(token_set)
     logs: list[StageLog] = []
 
@@ -263,55 +252,49 @@ def n_broadcast(
             return []
         return [v for v in range(n) if token_set ^ (token_set & holdings[v])]
 
-    lb_counter = 0
     try:
-        for stage in range(stage_cap):
+        for phase in range(phase_cap):
             remaining = non_full()
             if not remaining:
                 break
-            stage_rounds = 0
-            for _ in range(phase_cap):
-                remaining = non_full()
-                if not remaining:
+            start = run.rounds_executed
+            remaining_set = set(remaining)
+            full = [v for v in range(n) if v not in remaining_set]
+            pool = ItemPool(ordered, run.subsystem_rng("n-broadcast", "ranks", phase))
+            load_balance(run, full, remaining, pool)
+            for _ in range(n):
+                if not non_full():
                     break
-                remaining_set = set(remaining)
-                full = [v for v in range(n) if v not in remaining_set]
-                rng = run.subsystem_rng("n-broadcast", "ranks", lb_counter)
-                lb_counter += 1
-                pool = ItemPool(ordered, rng)
-                _, _, lb_log = load_balance(run, full, remaining, pool)
-                stage_rounds += lb_log.rounds
-                for _ in range(n):
-                    if not non_full():
-                        break
-                    plan = greedy_exchange_round(state, run.current_snapshot(), ordered)
-                    run.execute(plan)
-                    stage_rounds += 1
+                run.execute(greedy_exchange_round(state, run.current_snapshot(), ordered))
             logs.append(
                 StageLog(
-                    stage=f"broadcast-stage-{stage}",
-                    rounds=stage_rounds,
+                    stage=f"broadcast-phase-{phase}",
+                    rounds=run.rounds_executed - start,
                     detail={"non_full_after": len(non_full())},
                 )
             )
-        done = not non_full()
-        return BroadcastOutcome(done, None if done else "stage-budget", logs)
+        return BroadcastOutcome("phase-budget" if non_full() else None, logs)
     except RoundBudgetExhausted:
-        return BroadcastOutcome(False, "round-budget", logs)
+        return BroadcastOutcome("round-budget", logs)
     except LoadBalanceStalled:
-        return BroadcastOutcome(False, "load-balance-stalled", logs)
+        return BroadcastOutcome("load-balance-stalled", logs)
 
 
-def reduce_k_to_n(k: int, n: int) -> tuple[list[list[int]], list[int]]:
-    """Group k token ids into ceil(k/n) groups of exactly n, padding the last
-    group with fresh dummy ids (>= k)."""
-    if k < 1 or n < 1:
-        raise ValueError("need k >= 1 and n >= 1")
-    group_count = -(-k // n)
-    dummies = list(range(k, group_count * n))
-    ids = list(range(k)) + dummies
-    groups = [ids[g * n : (g + 1) * n] for g in range(group_count)]
-    return groups, dummies
+def _padded_size(k: int, n: int) -> int:
+    """k-gossip's universe: ceil(k/n) groups of exactly n ids."""
+    return -(-k // n) * n
+
+
+def pad_state_for_kgossip(state: TokenState) -> TokenState:
+    """Extend the universe to a whole number of n-token groups; the dummy ids
+    start out at node 0 so every token is held somewhere."""
+    n, k = state.n, state.universe.real_count
+    size = _padded_size(k, n)
+    if state.universe.size == size:
+        return state
+    holdings = {v: state.tokens(v) for v in range(n)}
+    holdings[0] |= set(range(k, size))
+    return TokenState(n, TokenUniverse(size, k), holdings)
 
 
 @dataclass
@@ -321,45 +304,41 @@ class GossipOutcome:
     stalled: str | None = None
 
 
-def k_gossip_centralized(
-    run: EngineRun,
-    k: int,
-    params: CentralParams = CentralParams(),
-) -> GossipOutcome:
+def k_gossip_centralized(run: EngineRun, mode: str = "naive") -> GossipOutcome:
     """Complete k-token gossip under full current-round knowledge.
 
-    Two strategies, chosen by params.mode:
+    The universe must hold ceil(k/n)*n ids (`pad_state_for_kgossip`): the
+    k real tokens, then dummies; group g is ids g*n .. g*n + n - 1.  Two
+    strategies, chosen by `mode`:
 
     * naive: flood each real token in sequence (at most n rounds each, so at
       most nk in total);
-    * staged: per reduction group, (a) flood each group token for
-      ceil(sqrt(n)) rounds, (b) pick a greedy cover of token holders,
-      (c) load-balance each cover node's copied-and-padded multiset over all
-      nodes, (e) broadcast the set of the node holding the most group
-      tokens, (f) flood the leftovers.  Letter (d) is unused: README gives
-      the measurements that removed a greedy-exchange stage there.  The run
-      stops once every real token is everywhere: before each stage, between
-      the floods and load-balances of a stage, and between n_broadcast's
-      load-balances and exchange rounds.
+    * staged: per group, (a) flood each group token for ceil(sqrt(n))
+      rounds, (b) pick a greedy cover of token holders, at most
+      ceil(2 sqrt(n) log2 n) nodes, (c) load-balance each cover node's
+      copied-and-padded multiset over all nodes, (e) broadcast the set of
+      the node holding the most group tokens, (f) flood the leftovers.
+      Letter (d) is unused: README gives the measurements that removed a
+      greedy-exchange stage there.  The run stops once every real token is
+      everywhere: before each stage, between the floods and load-balances
+      of a stage, and between n_broadcast's load-balances and exchange
+      rounds.  Each stage logs its rounds once; the broadcast's phase logs
+      sit in its log's `detail["phases"]`.
 
     Stalls (cover too large, round budget, a stalled load balance) yield a
     marked outcome identifying the stage.
     """
-    if params.mode not in ("naive", "staged"):
-        raise ValueError(f"unknown k-gossip mode {params.mode!r} (naive or staged)")
+    if mode not in ("naive", "staged"):
+        raise ValueError(f"unknown k-gossip mode {mode!r} (naive or staged)")
     state = run.state
     n = state.n
-    if k != state.universe.real_count:
-        raise ValueError("k must match the universe's real token count")
-    groups, _ = reduce_k_to_n(k, n)
-    if state.universe.size != len(groups) * n:
-        raise ValueError(
-            f"universe size {state.universe.size} != padded size {len(groups) * n}"
-        )
+    size, k = state.universe.size, state.universe.real_count
+    if size != _padded_size(k, n):
+        raise ValueError(f"universe size {size} != padded size {_padded_size(k, n)}")
 
     logs: list[StageLog] = []
     try:
-        if params.mode == "naive":
+        if mode == "naive":
             start = run.rounds_executed
             for tok in range(k):
                 if run.complete():
@@ -369,10 +348,11 @@ def k_gossip_centralized(
             return GossipOutcome(run.result(), logs)
 
         sqrt_rounds = math.ceil(math.sqrt(n))
-        log2n = math.log2(max(2, n))
-        for g_index, group in enumerate(groups):
+        cover_cap = math.ceil(2 * math.sqrt(n) * math.log2(max(2, n)))
+        for g_index, first in enumerate(range(0, size, n)):
             if run.complete():
                 break
+            group = range(first, first + n)
             group_mask = token_mask(group)
             tag = f"group-{g_index}"
 
@@ -389,15 +369,11 @@ def k_gossip_centralized(
             if run.complete():
                 break
 
-            cover_cap = max(1, math.ceil(params.c_s * math.sqrt(n) * log2n))
             holdings = state.holdings
             uncovered = group_mask
             allocation: dict[int, list[int]] = {}
             while uncovered:
-                best = max(
-                    range(n),
-                    key=lambda v: ((holdings[v] & uncovered).bit_count(), -v),
-                )
+                best = max(range(n), key=lambda v: ((holdings[v] & uncovered).bit_count(), -v))
                 gain = holdings[best] & uncovered
                 if not gain:
                     return GossipOutcome(run.result(), logs, f"{tag}-cover-unhit")
@@ -407,19 +383,13 @@ def k_gossip_centralized(
                     return GossipOutcome(run.result(), logs, f"{tag}-cover-cap")
 
             start = run.rounds_executed
-            lb_counter = 0
-            for u in sorted(allocation):
+            for lb_counter, u in enumerate(sorted(allocation)):
                 if run.complete():
                     break
-                copies: list[int | None] = []
-                for tok in allocation[u]:
-                    copies.extend([tok] * sqrt_rounds)
-                while len(copies) < n:
-                    copies.append(None)
+                copies: list[int | None] = [t for t in allocation[u] for _ in range(sqrt_rounds)]
+                copies += [None] * (n - len(copies))
                 rng = run.subsystem_rng("k-gossip", tag, "ranks", lb_counter)
-                lb_counter += 1
-                pool = ItemPool(copies, rng)
-                load_balance(run, [u], list(range(n)), pool)
+                load_balance(run, [u], list(range(n)), ItemPool(copies, rng))
             logs.append(StageLog(f"{tag}-distribution", run.rounds_executed - start))
             if run.complete():
                 break
@@ -427,10 +397,10 @@ def k_gossip_centralized(
             best = max(range(n), key=lambda v: ((holdings[v] & group_mask).bit_count(), -v))
             broadcast_set = mask_tokens(holdings[best] & group_mask)
             start = run.rounds_executed
-            outcome = n_broadcast(run, best, params, tokens=broadcast_set)
-            logs.extend(outcome.stage_logs)
-            logs.append(StageLog(f"{tag}-broadcast", run.rounds_executed - start))
-            if not outcome.done:
+            outcome = n_broadcast(run, best, tokens=broadcast_set)
+            rounds = run.rounds_executed - start
+            logs.append(StageLog(f"{tag}-broadcast", rounds, detail={"phases": outcome.stage_logs}))
+            if outcome.stalled:
                 return GossipOutcome(run.result(), logs, f"{tag}-broadcast-{outcome.stalled}")
             if run.complete():
                 break

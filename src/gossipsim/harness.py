@@ -32,7 +32,7 @@ from .blocker_line import (
     build_blocker_line_invasive,
     build_blocker_line_oblivious,
 )
-from .central import CentralParams, k_gossip_centralized, n_broadcast
+from .central import k_gossip_centralized, n_broadcast, pad_state_for_kgossip
 from .core import (
     AdversarySchedule,
     EngineRun,
@@ -265,19 +265,6 @@ class CellResult:
     result: SimulationResult | None = None
 
 
-def pad_state_for_kgossip(state: TokenState) -> TokenState:
-    """Extend the universe to a whole number of n-token groups; the dummy ids
-    start out at node 0 so every token is held somewhere."""
-    n, k = state.n, state.universe.real_count
-    group_count = -(-k // n)
-    size = group_count * n
-    if state.universe.size == size:
-        return state
-    holdings = {v: state.tokens(v) for v in range(n)}
-    holdings[0] |= set(range(k, size))
-    return TokenState(n, TokenUniverse(size, k), holdings)
-
-
 def run_cell(config: ExperimentConfig, n: int, seed: int, keep_result: bool = False) -> CellResult:
     schedule = build_schedule(config.adversary, n, seed)
     state = initial_state(config.initial, n, schedule)
@@ -286,15 +273,13 @@ def run_cell(config: ExperimentConfig, n: int, seed: int, keep_result: bool = Fa
     if name == "central-broadcast":
         run = EngineRun(schedule, state, seed, config.max_rounds)
         source = config.initial.get("source", schedule.metadata.get("source", 0))
-        n_broadcast(run, source, _central_params(config.protocol))
+        _central_mode(config.protocol)  # rejects keys other than name and mode
+        n_broadcast(run, source)
         result = run.result()
     elif name == "central-kgossip":
         state = pad_state_for_kgossip(state)
         run = EngineRun(schedule, state, seed, config.max_rounds)
-        outcome = k_gossip_centralized(
-            run, state.universe.real_count, _central_params(config.protocol)
-        )
-        result = outcome.result
+        result = k_gossip_centralized(run, _central_mode(config.protocol)).result
     else:
         protocol = get_protocol(name)
         stop = make_sentinel_stop(schedule.metadata) if config.stop_at_sentinel else None
@@ -316,12 +301,13 @@ def run_cell(config: ExperimentConfig, n: int, seed: int, keep_result: bool = Fa
     )
 
 
-def _central_params(protocol_spec: dict) -> CentralParams:
-    params = {key: value for key, value in protocol_spec.items() if key != "name"}
-    unknown = sorted(params.keys() - {f.name for f in fields(CentralParams)})
+def _central_mode(protocol_spec: dict) -> str:
+    """A centralized protocol spec's k-gossip mode; `name` and `mode` are
+    its only keys."""
+    unknown = sorted(protocol_spec.keys() - {"name", "mode"})
     if unknown:
         raise KeyError(f"unknown {protocol_spec['name']} key {unknown[0]!r}")
-    return CentralParams(**params)
+    return protocol_spec.get("mode", "naive")
 
 
 def _cell_task(payload) -> dict:

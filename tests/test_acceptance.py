@@ -11,13 +11,7 @@ from itertools import combinations
 from scipy import stats as scipy_stats
 
 from gossipsim.blocker_line import BlockerLineParams
-from gossipsim.central import (
-    CentralParams,
-    ItemPool,
-    k_gossip_centralized,
-    load_balance,
-    reduce_k_to_n,
-)
+from gossipsim.central import ItemPool, k_gossip_centralized, load_balance, pad_state_for_kgossip
 from gossipsim.core import (
     AdversarySchedule,
     EngineRun,
@@ -178,11 +172,9 @@ def test_criterion_05_centralized_kgossip_grid():
                 schedule = build_random_interval_connected(
                     n, 0.1, seed=seed, horizon=min(budget, 4096)
                 )
-                groups, _ = reduce_k_to_n(k, n)
-                universe = TokenUniverse(len(groups) * n, k)
-                state = TokenState(n, universe, {0: range(universe.size)})
+                state = pad_state_for_kgossip(TokenState(n, TokenUniverse(k, k), {0: range(k)}))
                 run = EngineRun(schedule, state, seed, budget)
-                outcome = k_gossip_centralized(run, k)
+                outcome = k_gossip_centralized(run)
                 if outcome.result.completion_round is None:
                     incomplete.append((n, k, seed))
                 elif outcome.result.completion_round > budget:
@@ -414,11 +406,10 @@ def test_criterion_11_engine_invariant_fuzz():
     # centralized schedulers share the same validated execution path
     schedule = build_random_interval_connected(12, 0.2, seed=5, horizon=600)
     assert schedule.validate() == []
-    groups, _ = reduce_k_to_n(12, 12)
     universe = TokenUniverse(12, 12)
     state = TokenState(12, universe, {0: range(12)})
     run = EngineRun(schedule, state, seed=5, max_rounds=600)
-    outcome = k_gossip_centralized(run, 12, CentralParams(mode="staged"))
+    outcome = k_gossip_centralized(run, mode="staged")
     rounds_done += run.rounds_executed
     if outcome.result.completion_round is None and outcome.stalled is None:
         violations.append(("central", "no-completion-no-marker"))

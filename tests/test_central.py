@@ -7,13 +7,12 @@ import pytest
 from gossipsim import central
 from gossipsim.blocker_line import BlockerLineParams, build_blocker_line_invasive
 from gossipsim.central import (
-    CentralParams,
     ItemPool,
     LoadBalanceStalled,
     k_gossip_centralized,
     load_balance,
     n_broadcast,
-    reduce_k_to_n,
+    pad_state_for_kgossip,
 )
 from gossipsim.core import (
     AdversarySchedule,
@@ -147,14 +146,14 @@ class TestNBroadcast:
     def test_two_nodes_fast(self):
         run = fresh_run(static_schedule(2, [(0, 1)]), {0: [0, 1]}, TokenUniverse(2, 2))
         outcome = n_broadcast(run, 0)
-        assert outcome.done
+        assert outcome.stalled is None
         assert run.rounds_executed <= 3
 
     def test_complete_graph_within_budget(self):
         n = 16
         run = fresh_run(complete_graph(n), {0: range(n)}, TokenUniverse(n, n))
         outcome = n_broadcast(run, 0)
-        assert outcome.done
+        assert outcome.stalled is None
         budget = 64 * n ** 1.5 * math.log2(n) ** 2
         assert run.rounds_executed <= budget
 
@@ -162,7 +161,7 @@ class TestNBroadcast:
         n = 8
         run = fresh_run(line(n), {0: range(n)}, TokenUniverse(n, n))
         outcome = n_broadcast(run, 0)
-        assert outcome.done
+        assert outcome.stalled is None
         assert run.complete()
 
     def test_distribution_places_quota_per_phase(self):
@@ -185,26 +184,29 @@ class TestNBroadcast:
 
 
 class TestReduce:
+    """k-gossip's padding: the universe grows to ceil(k/n) groups of n ids,
+    and the dummies start at node 0."""
+
     def test_exact_fit(self):
-        groups, dummies = reduce_k_to_n(4, 4)
-        assert groups == [[0, 1, 2, 3]]
-        assert dummies == []
+        state = TokenState(4, TokenUniverse(4, 4), {v: [v] for v in range(4)})
+        assert pad_state_for_kgossip(state) is state
 
     def test_pad_small_k(self):
-        groups, dummies = reduce_k_to_n(3, 4)
-        assert groups == [[0, 1, 2, 3]]
-        assert dummies == [3]
+        state = TokenState(4, TokenUniverse(3, 3), {1: [0, 1, 2]})
+        padded = pad_state_for_kgossip(state)
+        assert (padded.universe.size, padded.universe.real_count) == (4, 3)
+        assert [padded.tokens(v) for v in range(4)] == [{3}, {0, 1, 2}, set(), set()]
 
     def test_multiple_groups(self):
-        groups, dummies = reduce_k_to_n(10, 4)
-        assert len(groups) == 3
-        assert dummies == [10, 11]
-        assert [len(g) for g in groups] == [4, 4, 4]
+        state = TokenState(4, TokenUniverse(10, 10), {0: range(10)})
+        padded = pad_state_for_kgossip(state)
+        assert (padded.universe.size, padded.universe.real_count) == (12, 10)
+        assert padded.tokens(0) == set(range(12))
+        assert all(not padded.tokens(v) for v in (1, 2, 3))
 
 
 def kgossip_universe(k, n):
-    groups, _ = reduce_k_to_n(k, n)
-    return TokenUniverse(len(groups) * n, k)
+    return pad_state_for_kgossip(TokenState(n, TokenUniverse(k, k), {})).universe
 
 
 class TestKGossip:
@@ -212,7 +214,7 @@ class TestKGossip:
         n = 8
         universe = kgossip_universe(1, n)
         run = fresh_run(line(n), {0: range(universe.size)}, universe, max_rounds=n)
-        outcome = k_gossip_centralized(run, 1)
+        outcome = k_gossip_centralized(run)
         assert outcome.result.completion_round is not None
         assert outcome.result.completion_round <= n
 
@@ -222,7 +224,7 @@ class TestKGossip:
         run = fresh_run(
             complete_graph(n), {0: range(universe.size)}, universe, max_rounds=n * k
         )
-        outcome = k_gossip_centralized(run, k)
+        outcome = k_gossip_centralized(run)
         assert outcome.result.completion_round is not None
         budget = min(n * k, 64 * (n + k) * math.sqrt(n) * math.log2(n) ** 2)
         assert outcome.result.completion_round <= budget
@@ -233,8 +235,13 @@ class TestKGossip:
         for mode in ("auto", "Staged", "stagd"):
             run = fresh_run(complete_graph(n), {0: range(universe.size)}, universe, max_rounds=100)
             with pytest.raises(ValueError, match="unknown k-gossip mode"):
-                k_gossip_centralized(run, k, CentralParams(mode=mode))
+                k_gossip_centralized(run, mode)
             assert run.rounds_executed == 0
+
+    def test_unpadded_universe_rejected(self):
+        run = fresh_run(line(4), {0: range(3)}, TokenUniverse(3, 3))
+        with pytest.raises(ValueError, match="padded size 4"):
+            k_gossip_centralized(run)
 
     def test_staged_mode_completes_on_static_graph(self):
         n, k = 16, 16
@@ -242,7 +249,7 @@ class TestKGossip:
         run = fresh_run(
             complete_graph(n), {0: range(universe.size)}, universe, max_rounds=200000
         )
-        outcome = k_gossip_centralized(run, k, CentralParams(mode="staged"))
+        outcome = k_gossip_centralized(run, mode="staged")
         assert outcome.stage_logs[0].stage == "group-0-consolidation"
         assert outcome.stalled is None
         assert outcome.result.completion_round is not None
@@ -252,19 +259,28 @@ class TestKGossip:
         schedule = build_random_interval_connected(n, 0.15, seed=5, horizon=3000)
         universe = kgossip_universe(k, n)
         run = fresh_run(schedule, {0: range(universe.size)}, universe, max_rounds=50000)
-        outcome = k_gossip_centralized(run, k, CentralParams(mode="staged"))
+        outcome = k_gossip_centralized(run, mode="staged")
         assert outcome.stalled is None
         assert outcome.result.completion_round is not None
 
     def test_staged_mode_stops_at_completion(self):
         """The benchmark's staged cell (n = 64, k = 128, p = 0.1) completes
-        during group 1's consolidation; no round runs after completion."""
-        n, k = 64, 128
-        universe = kgossip_universe(k, n)
-        for seed in (1, 2):
-            schedule = build_random_interval_connected(n, 0.1, seed=seed, horizon=2048)
+        during group 1's consolidation; no round runs after completion.  On
+        it, and on a static line and a round-robin ring-failure from a single
+        source (k = n = 64), every round is in exactly one stage log: the
+        broadcast's phases were once logged beside the broadcast too (3116
+        and 2365 logged rounds against 2952 and 2150 run)."""
+        n = 64
+        cells = [
+            (build_random_interval_connected(n, 0.1, seed=seed, horizon=2048), 128, seed)
+            for seed in (1, 2)
+        ]
+        cells.append((line(n), n, 1))
+        cells.append((build_ring_failure(n, "round-robin", seed=1, horizon=4096)[0], n, 1))
+        for schedule, k, seed in cells:
+            universe = kgossip_universe(k, n)
             run = fresh_run(schedule, {0: range(universe.size)}, universe, seed, n * k)
-            outcome = k_gossip_centralized(run, k, CentralParams(mode="staged"))
+            outcome = k_gossip_centralized(run, mode="staged")
             assert outcome.stalled is None
             result = outcome.result
             assert result.completion_round is not None
@@ -278,7 +294,7 @@ class TestKGossip:
         schedule, _, _ = build_ring_failure(n, "round-robin", seed=1, horizon=4 * n)
         universe = kgossip_universe(k, n)
         run = fresh_run(schedule, {0: range(universe.size)}, universe, 1, 20000)
-        outcome = k_gossip_centralized(run, k, CentralParams(mode="staged"))
+        outcome = k_gossip_centralized(run, mode="staged")
         assert outcome.stalled is None
         assert outcome.result.completion_round == completion
         assert outcome.result.rounds_executed == completion
@@ -288,7 +304,7 @@ class TestKGossip:
         universe = kgossip_universe(k, n)
         holdings = {v: [v] for v in range(n)}
         run = fresh_run(complete_graph(n), holdings, universe, max_rounds=n * k)
-        outcome = k_gossip_centralized(run, k)
+        outcome = k_gossip_centralized(run)
         assert outcome.result.completion_round is not None
 
     def test_naive_within_nk(self):
@@ -296,7 +312,7 @@ class TestKGossip:
         universe = kgossip_universe(k, n)
         schedule = build_random_interval_connected(n, 0.1, seed=9, horizon=n * k)
         run = fresh_run(schedule, {0: range(universe.size)}, universe, max_rounds=n * k)
-        outcome = k_gossip_centralized(run, k)
+        outcome = k_gossip_centralized(run)
         assert [log.stage for log in outcome.stage_logs] == ["naive-broadcast"]
         assert outcome.result.completion_round is not None
         assert outcome.result.completion_round <= n * k
@@ -308,7 +324,7 @@ class TestBroadcastMonotonicity:
         schedule = build_random_interval_connected(n, 0.15, seed=8, horizon=4000)
         run = fresh_run(schedule, {0: range(n)}, TokenUniverse(n, n), max_rounds=4000)
         outcome = n_broadcast(run, 0)
-        assert outcome.done
+        assert outcome.stalled is None
         remaining = [
             log.detail["non_full_after"]
             for log in outcome.stage_logs
@@ -325,7 +341,7 @@ class TestKGossipOnPathFamilies:
         schedule, _, _ = build_center_terminal(n, 4, seed=6, horizon=4000)
         universe = kgossip_universe(k, n)
         run = fresh_run(schedule, {0: range(universe.size)}, universe, max_rounds=4000)
-        outcome = k_gossip_centralized(run, k, CentralParams(mode="staged"))
+        outcome = k_gossip_centralized(run, mode="staged")
         assert outcome.stalled is None
         assert outcome.result.completion_round is not None
 
@@ -334,7 +350,7 @@ class TestKGossipOnPathFamilies:
         schedule, _, _ = build_ring_failure(n, "round-robin", seed=2, horizon=20000)
         universe = kgossip_universe(k, n)
         run = fresh_run(schedule, {0: range(universe.size)}, universe, max_rounds=20000)
-        outcome = k_gossip_centralized(run, k, CentralParams(mode="staged"))
+        outcome = k_gossip_centralized(run, mode="staged")
         assert outcome.stalled is None
         assert outcome.result.completion_round is not None
 
@@ -351,7 +367,7 @@ class TestKGossipOnInvasiveSchedules:
         universe = kgossip_universe(n, n)
         source = schedule.metadata["source"]
         run = fresh_run(schedule, {source: range(universe.size)}, universe, seed=1)
-        outcome = k_gossip_centralized(run, n, CentralParams(mode=mode))
+        outcome = k_gossip_centralized(run, mode)
         assert outcome.stalled is None
         assert outcome.result.completion_round == completion
 
@@ -375,12 +391,11 @@ class TestLoadBalanceStalls:
         monkeypatch.setattr(central, "load_balance", self.stall)
         run = fresh_run(line(8), {0: range(8)}, TokenUniverse(8, 8))
         outcome = n_broadcast(run, 0)
-        assert not outcome.done
         assert outcome.stalled == "load-balance-stalled"
 
     def test_k_gossip_distribution_stall_is_marked(self, monkeypatch):
         monkeypatch.setattr(central, "load_balance", self.stall)
-        outcome = k_gossip_centralized(self.cycle_run(), 9, CentralParams(mode="staged"))
+        outcome = k_gossip_centralized(self.cycle_run(), mode="staged")
         assert outcome.stalled == "load-balance-stalled"
         assert outcome.result.timed_out
 
@@ -396,7 +411,7 @@ class TestLoadBalanceStalls:
             return real(run, full_nodes, targets, pool)
 
         monkeypatch.setattr(central, "load_balance", stall_broadcast)
-        outcome = k_gossip_centralized(self.cycle_run(), 9, CentralParams(mode="staged"))
+        outcome = k_gossip_centralized(self.cycle_run(), mode="staged")
         assert outcome.stalled == "group-0-broadcast-load-balance-stalled"
         assert outcome.result.timed_out
 

@@ -1,5 +1,6 @@
 """Load-balance routing: the early-stopping BFS against the full-BFS rule it
-replaced, and staged runs' load-balance plans pinned by sha256 prefixes."""
+replaced, staged runs' load-balance plans and central broadcasts' executed
+plans pinned by sha256 prefixes."""
 
 import hashlib
 import json
@@ -9,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gossipsim import central
-from gossipsim.core import NetworkSnapshot, bfs_distances
-from gossipsim.harness import ExperimentConfig, run_cell
+from gossipsim.core import EngineRun, NetworkSnapshot, bfs_distances
+from gossipsim.harness import ExperimentConfig, build_schedule, initial_state, run_cell
 
 
 def reference_path(snapshot, sources, wanted):
@@ -127,3 +128,36 @@ def test_staged_load_balance_plans_pinned(monkeypatch, adversary, n, initial, ca
     assert sum(len(plans) for plans in plans_seen) == rounds
     encoded = json.dumps(plans_seen).encode()
     assert hashlib.sha256(encoded).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize(
+    "adversary, n, phases, completion, digest",
+    [
+        ({"name": "skb-blocker"}, 100, 2, 1610, "bfdab0aa1d9f1cb3"),
+        ({"name": "static-line"}, 64, 1, 1089, "225bf343868b8fc8"),
+    ],
+    ids=["skb-blocker", "static-line"],
+)
+def test_n_broadcast_plans_pinned(adversary, n, phases, completion, digest):
+    """Every executed plan of a central broadcast from the generator's
+    source, seed 1, load-balance and exchange rounds alike, hashed in round
+    order.  The skb-blocker cell needs a second phase; the line finishes in
+    one."""
+    schedule = build_schedule(adversary, n, 1)
+    run = EngineRun(schedule, initial_state({"kind": "single-source"}, n, schedule), 1, 20000)
+    plans = []
+    execute = run.execute
+
+    def recording(plan):
+        plans.append(plan)
+        return execute(plan)
+
+    run.execute = recording
+    outcome = central.n_broadcast(run, schedule.metadata.get("source", 0))
+    assert outcome.stalled is None
+    assert [log.stage for log in outcome.stage_logs] == [
+        f"broadcast-phase-{i}" for i in range(phases)
+    ]
+    assert sum(log.rounds for log in outcome.stage_logs) == run.rounds_executed
+    assert run.result().completion_round == completion == run.rounds_executed
+    assert hashlib.sha256(json.dumps(plans).encode()).hexdigest()[:16] == digest

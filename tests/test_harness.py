@@ -382,10 +382,19 @@ class TestCli:
                 {"protocol": {"name": "central-kgossip", "mode": "staged", "c_ex": 1.0}},
                 "ERROR: unknown central-kgossip key 'c_ex'",
             ),
+            (
+                {"protocol": {"name": "central-broadcast", "c_phase": 1.0}},
+                "ERROR: unknown central-broadcast key 'c_phase'",
+            ),
+            (
+                {"protocol": {"name": "central-kgossip", "mode": "staged", "c_s": 2.0}},
+                "ERROR: unknown central-kgossip key 'c_s'",
+            ),
         ],
         ids=[
             "missing-n", "adversary-without-name", "unknown-adversary",
             "dynamic-without-horizon", "central-broadcast-unknown-key", "central-kgossip-unknown-key",
+            "central-broadcast-c-phase", "central-kgossip-c-s",
         ],
     )
     def test_config_error_line_names_the_problem(self, tmp_path, capsys, change, line):
@@ -522,24 +531,6 @@ class TestCentralDispatch:
         rows = run_experiment(config)
         assert rows[0]["completion_round"] != "TIMEOUT"
         assert int(rows[0]["completion_round"]) <= 8 * 8
-
-    def test_central_kgossip_respects_stage_constant_keys(self):
-        config = ExperimentConfig(
-            adversary={"name": "static-complete"},
-            protocol={
-                "name": "central-kgossip",
-                "mode": "staged",
-                "c_phase": 1.0,
-                "c_stage": 3.0,
-                "c_s": 2.0,
-            },
-            initial={"kind": "single-source"},
-            n_list=[9],
-            seeds=[1],
-            max_rounds=100000,
-        )
-        rows = run_experiment(config)
-        assert rows[0]["completion_round"] != "TIMEOUT"
 
     def test_central_kgossip_pads_non_multiple_k(self):
         config = ExperimentConfig(
