@@ -50,7 +50,8 @@ from .core import (
     RoundSource,
     canonical_edge,
     derive_rng,
-    line_moves,
+    line_phases,
+    line_step,
     node_array,
     token_mask,
 )
@@ -78,7 +79,7 @@ class BlockerLineParams:
             raise ValueError(f"n={n} must be a perfect square")
         log2n = math.log2(n)
         object.__setattr__(self, "sqrt_n", m)
-        object.__setattr__(self, "phases", max(1, int(m / (2 * log2n))))
+        object.__setattr__(self, "phases", line_phases(n, m)[0])
         object.__setattr__(self, "segments_per_phase", max(1, m // 3))
         object.__setattr__(self, "segment_rounds", max(1, int(self.epsilon * m)))
         object.__setattr__(self, "inner_width", math.ceil(log2n))
@@ -98,9 +99,8 @@ class BlockerLineParams:
 
     def clamp_report(self) -> dict:
         m = self.sqrt_n
-        log2n = math.log2(self.n)
         return {
-            "phases_clamped": m / (2 * log2n) < 1,
+            "phases_clamped": line_phases(self.n, m)[1],
             "segment_rounds_clamped": self.epsilon * m < 1,
             "segments_clamped": m // 3 < 1,
         }
@@ -128,35 +128,23 @@ class _Segment:
 def _trajectory(params: BlockerLineParams) -> tuple[list[_Segment], list[list[int]]]:
     """Segments in round order, and the right line after each phase.
 
-    The line is left + [0] + right.  `left` is ordered far-to-near (the most
-    recently retired inner node sits next to node 0), `right` near-to-far
-    (index 0 is node 0's right neighbour).  After each segment the interval's
-    inner nodes retire leftward, the rest are exiled to the far right end,
-    and the next interval fronts node 0.  So the blocks left, 0, inner,
-    outer, rest become left, inner reversed, 0, rest, outer, and each
-    segment's moves are the hops joining them, read from block ends.
+    The line is left + [0] + right, stepped by `line_step` with `right` as
+    its middle and an empty right part: each interval is the first 2*sqrt(n)
+    right-line nodes when its segment comes, its inner nodes retire
+    leftward, and the rest are exiled to the far right end of the line.
     """
     left: list[int] = []
     right = list(range(1, params.n))
     width = 2 * params.sqrt_n
-    iw = params.inner_width
     segments: list[_Segment] = []
     right_lines: list[list[int]] = []
     moves: tuple[list[Edge], list[Edge]] = ([], [])
     for phase in range(1, params.phases + 1):
-        intervals = [right[j * width : (j + 1) * width] for j in range(params.segments_per_phase)]
-        for j, interval in enumerate(intervals, start=1):
-            segments.append(
-                _Segment(phase, j, interval, node_array(params.n, left + [0] + right), moves)
-            )
-            left_block = (left[0], left[-1]) if left else None
-            inner, outer = (interval[0], interval[iw - 1]), (interval[iw], interval[-1])
-            rest = (right[width], right[-1]) if len(right) > width else None
-            moves = line_moves(
-                [left_block, (0, 0), inner, outer, rest], [left_block, inner[::-1], (0, 0), rest, outer]
-            )
-            left += reversed(interval[:iw])
-            right = right[width:] + interval[iw:]
+        for j in range(1, params.segments_per_phase + 1):
+            line = node_array(params.n, left + [0] + right)
+            segments.append(_Segment(phase, j, right[:width], line, moves))
+            left, right, exiled, moves = line_step(left, right, [], width, params.inner_width)
+            right += exiled
         right_lines.append(list(right))
     return segments, right_lines
 

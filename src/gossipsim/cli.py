@@ -120,9 +120,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_separation(args) -> int:
-    arrivals = load_trace(args.trace)
-    metadata = json.loads(Path(args.meta).read_text(encoding="utf-8"))
-    stats = measure_blocker_separation(arrivals, metadata)
+    try:
+        arrivals = load_trace(args.trace)
+        metadata = json.loads(Path(args.meta).read_text(encoding="utf-8"))
+        stats = measure_blocker_separation(arrivals, metadata)
+    except _CONFIG_ERRORS as exc:
+        return _config_error(exc)
     print(
         f"fraction_small={stats['fraction_small']:.6f} "
         f"pairs={stats['pairs_measured']} threshold={stats['threshold']:.3f}"

@@ -21,6 +21,7 @@ executed in round t records arrival time t.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from array import array
 from bisect import bisect_left, insort
@@ -325,22 +326,35 @@ class RoundSource:
         return source
 
 
-def line_moves(
-    before: Sequence[tuple[int, int] | None], after: Sequence[tuple[int, int] | None]
-) -> tuple[list[Edge], list[Edge]]:
-    """The (removed, added) hops of a line whose blocks move.
+def line_step(
+    left: list[int], middle: list[int], right: list[int], width: int, inner_width: int
+) -> tuple[list[int], list[int], list[int], tuple[list[Edge], list[Edge]]]:
+    """One segment step of the line left + [0] + middle + right (`left`
+    far-to-near, the others near-to-far).  The first `width` middle nodes
+    front node 0; the first `inner_width` of them, capped at all but one,
+    retire to the left and the rest go to the front of `right`: blocks left,
+    0, inner, outer, rest, right become left, inner reversed, 0, rest, outer,
+    right.  Returns the new left, middle and right, and the (removed, added)
+    hops: the joins between blocks, read from block ends, since a block
+    keeps its inner hops.  A join in both lists stays (`edited` keeps it)."""
+    watched = middle[:width]
+    iw = min(inner_width, max(0, len(watched) - 1))
+    inner, outer, rest = watched[:iw], watched[iw:], middle[width:]
+    retired = inner[::-1]
+    before = [left, [0], inner, outer, rest, right]
+    after = [left, retired, [0], rest, outer, right]
+    removed, added = (
+        [canonical_edge(a[-1], b[0]) for a, b in zip(ends, ends[1:])]
+        for ends in ([b for b in blocks if b] for blocks in (before, after))
+    )
+    return left + retired, rest, outer + right, (removed, added)
 
-    `before` and `after` give each block's (first, last) node in line
-    order, None for an empty block.  A block keeps its inner hops, reversed
-    or not, so only the hops joining consecutive blocks change.  A join in
-    both lists stays (`NetworkSnapshot.edited` keeps a pair it is given as
-    removed and added)."""
-    return _joins(before), _joins(after)
 
-
-def _joins(blocks: Sequence[tuple[int, int] | None]) -> list[Edge]:
-    ends = [b for b in blocks if b is not None]
-    return [canonical_edge(a[1], b[0]) for a, b in zip(ends, ends[1:])]
+def line_phases(n: int, root: int) -> tuple[int, bool]:
+    """A line adversary's phase count, root / (2 log2 n) floored and clamped
+    below at 1 (root is sqrt(n) or cbrt(n)), and whether the clamp applied."""
+    phases = root / (2 * math.log2(n))
+    return max(1, int(phases)), phases < 1
 
 
 @dataclass

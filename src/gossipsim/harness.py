@@ -235,6 +235,8 @@ class ExperimentConfig:
         )
         if not cfg.n_list or not cfg.seeds:
             raise ValueError("config needs nonempty n list and seeds")
+        if cfg.measure not in ("completion", "sentinel"):
+            raise ValueError(f"measure {cfg.measure!r} is not 'completion' or 'sentinel'")
         return cfg
 
     def to_dict(self) -> dict:

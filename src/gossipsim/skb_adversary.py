@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .core import AdversarySchedule, Edge, RoundSource, line_moves, node_array, token_mask
+from .core import AdversarySchedule, Edge, RoundSource, line_phases, line_step, node_array, token_mask
 
 
 def icbrt(n: int) -> int:
@@ -51,7 +51,7 @@ class SkbAdversaryParams:
         log2n = math.log2(n)
         object.__setattr__(self, "blocker_set_size", max(1, root))
         object.__setattr__(self, "sets_per_phase", max(1, root))
-        object.__setattr__(self, "phases", max(1, int(root / (2 * log2n))))
+        object.__setattr__(self, "phases", line_phases(n, root)[0])
         object.__setattr__(self, "segments_per_phase", max(1, icbrt(n * n)))
         object.__setattr__(self, "segment_rounds", max(1, root))
         # The watched prefix must keep at least one exiled node per segment.
@@ -66,10 +66,9 @@ class SkbAdversaryParams:
 
     def clamp_report(self) -> dict:
         root = icbrt(self.n)
-        log2n = math.log2(self.n)
         return {
-            "phases_clamped": root / (2 * log2n) < 1,
-            "inner_width_clamped": math.ceil(log2n) > root - 1,
+            "phases_clamped": line_phases(self.n, root)[1],
+            "inner_width_clamped": math.ceil(math.log2(self.n)) > root - 1,
         }
 
 
@@ -118,6 +117,7 @@ def build_skb_adversary(params: SkbAdversaryParams) -> AdversarySchedule:
     moves: list[tuple[list[Edge], list[Edge]]] = [([], [])]  # hops from the line before
     insertions: dict[int, list[tuple[int, int]]] = {}
     round_index = 0
+    width = params.blocker_set_size
 
     for phase in range(1, params.phases + 1):
         middle = middle + right
@@ -126,8 +126,7 @@ def build_skb_adversary(params: SkbAdversaryParams) -> AdversarySchedule:
         for segment in range(1, params.segments_per_phase + 1):
             if not middle:
                 break
-            watched = middle[: params.blocker_set_size]
-            iw = min(params.inner_width, max(0, len(watched) - 1))
+            watched = middle[:width]
             lines.append(node_array(n, left + [0] + middle + right))
             start = round_index + 1
             for k in range(1, params.segment_rounds + 1):
@@ -137,6 +136,10 @@ def build_skb_adversary(params: SkbAdversaryParams) -> AdversarySchedule:
                     (watched[m_idx - 1], set_masks[k - m_idx])
                     for m_idx in range(1, min(k, len(watched)) + 1)
                 )
+            left_before = len(left)
+            left, middle, right, step = line_step(left, middle, right, width, params.inner_width)
+            moves.append(step)
+            iw = len(left) - left_before  # the watched nodes that retired
             meta["segments"].append(
                 {
                     "phase": phase,
@@ -147,24 +150,6 @@ def build_skb_adversary(params: SkbAdversaryParams) -> AdversarySchedule:
                     "outer": watched[iw:],
                 }
             )
-            # The blocks left, 0, inner, outer, rest, right become left,
-            # inner reversed, 0, rest, outer, right; a phase's fold of the
-            # right part into the middle keeps the order.
-            w = len(watched)
-            left_block = (left[0], left[-1]) if left else None
-            inner = (watched[0], watched[iw - 1]) if iw else None
-            outer = (watched[iw], watched[-1])
-            rest = (middle[w], middle[-1]) if len(middle) > w else None
-            right_block = (right[0], right[-1]) if right else None
-            moves.append(
-                line_moves(
-                    [left_block, (0, 0), inner, outer, rest, right_block],
-                    [left_block, inner and inner[::-1], (0, 0), rest, outer, right_block],
-                )
-            )
-            middle = middle[w:]
-            left = left + list(reversed(watched[:iw]))
-            right = watched[iw:] + right
 
     return AdversarySchedule(
         n=n,

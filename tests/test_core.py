@@ -7,7 +7,7 @@ import tracemalloc
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gossipsim.core import (
@@ -22,6 +22,8 @@ from gossipsim.core import (
     TokenUniverse,
     bfs_distances,
     derive_rng,
+    line_phases,
+    line_step,
     mask_tokens,
     node_array,
     run_simulation,
@@ -1163,6 +1165,49 @@ def test_without_matches_a_fresh_snapshot(graph, data):
     assert derived == fresh
     assert derived.directed_edges == fresh.directed_edges
     assert derived.adjacency == fresh.adjacency
+
+
+@given(
+    order=st.permutations(range(1, 25)),
+    sizes=st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8)),
+    width=st.integers(1, 9),
+    inner_width=st.integers(0, 9),
+)
+@example(order=list(range(1, 25)), sizes=(0, 6, 0), width=4, inner_width=5)
+@example(order=list(range(24, 0, -1)), sizes=(3, 5, 2), width=1, inner_width=2)
+@example(order=list(range(1, 25)), sizes=(2, 1, 0), width=4, inner_width=3)
+@settings(max_examples=300, deadline=None)
+def test_line_step_moves_give_the_new_line(order, sizes, width, inner_width):
+    """`line_step` on left + [0] + middle + right: the watched prefix's
+    first `inner_width` nodes, capped at all but one, retire reversed to the
+    left, the rest go to the front of `right`, and the moves take the old
+    line's graph, caches built, to the new line's.  The examples cover an
+    empty left and right with a watched prefix shorter than inner_width + 1,
+    and a one-node watched prefix from a long or a short middle."""
+    a, b, c = sizes
+    left, middle, right = order[:a], order[a : a + b], order[a + b : a + b + c]
+    given_blocks = (list(left), list(middle), list(right))
+    new_left, new_middle, new_right, moves = line_step(left, middle, right, width, inner_width)
+    assert (left, middle, right) == given_blocks
+    watched = middle[:width]
+    iw = min(inner_width, max(0, len(watched) - 1))
+    assert new_left == left + watched[:iw][::-1]
+    assert new_middle == middle[width:]
+    assert new_right == watched[iw:] + right
+    removed, added = moves
+    assert len(removed) <= 5 and len(added) <= 5
+    base = NetworkSnapshot.line(25, left + [0] + middle + right)
+    base.directed_edges, base.adjacency
+    derived = base.edited(removed, added)
+    fresh = NetworkSnapshot.line(25, new_left + [0] + new_middle + new_right)
+    views = (derived.edges, derived.directed_edges, derived.adjacency)
+    assert views == (fresh.edges, fresh.directed_edges, fresh.adjacency)
+
+
+def test_line_phases_floor_and_clamp():
+    assert line_phases(4096, 64) == (2, False)  # sqrt(4096) / 24
+    assert line_phases(1024, 32) == (1, False)
+    assert line_phases(4096, 16) == (1, True)  # cbrt(4096) / 24
 
 
 def _fresh_views(snap):

@@ -340,8 +340,12 @@ class TestCli:
             ("run", {"n": None}, "'n'"),
             ("run", '{"n": [4', "Expecting"),
             ("sweep", None, "No such file"),
+            ("sweep", {"measure": "sentinal"}, "measure 'sentinal'"),
         ],
-        ids=["sweep-two-n", "sweep-unknown-adversary", "run-no-n", "run-bad-json", "sweep-no-file"],
+        ids=[
+            "sweep-two-n", "sweep-unknown-adversary", "run-no-n", "run-bad-json", "sweep-no-file",
+            "sweep-bad-measure",
+        ],
     )
     def test_bad_config_is_an_error_line_not_a_traceback(
         self, tmp_path, capsys, command, text, message
@@ -390,11 +394,12 @@ class TestCli:
                 {"protocol": {"name": "central-kgossip", "mode": "staged", "c_s": 2.0}},
                 "ERROR: unknown central-kgossip key 'c_s'",
             ),
+            ({"measure": "sentinal"}, "ERROR: measure 'sentinal' is not 'completion' or 'sentinel'"),
         ],
         ids=[
             "missing-n", "adversary-without-name", "unknown-adversary",
             "dynamic-without-horizon", "central-broadcast-unknown-key", "central-kgossip-unknown-key",
-            "central-broadcast-c-phase", "central-kgossip-c-s",
+            "central-broadcast-c-phase", "central-kgossip-c-s", "bad-measure",
         ],
     )
     def test_config_error_line_names_the_problem(self, tmp_path, capsys, change, line):
@@ -501,6 +506,27 @@ class TestCli:
         meta = tmp_path / "m.json"
         meta.write_text(json.dumps(schedule.metadata))
         assert cli_main(["separation", "--trace", str(trace), "--meta", str(meta)]) == 0
+
+    @pytest.mark.parametrize(
+        "missing, meta, message",
+        [
+            ("trace", {"params": {"n": 4}, "segments": [{"inner": [1, 2], "rounds": [1, 1]}]}, "No such file"),
+            ("meta", None, "No such file"),
+            (None, {"params": {"n": 4}}, "metadata does not describe blocker segments"),
+        ],
+        ids=["missing-trace", "missing-meta", "meta-without-segments"],
+    )
+    def test_separation_bad_input_is_an_error_line(self, tmp_path, capsys, missing, meta, message):
+        trace, meta_path = tmp_path / "t.json", tmp_path / "m.json"
+        if missing != "trace":
+            trace.write_text(json.dumps({"n": 4, "arrivals": [{}, {}, {}, {}]}))
+        if missing != "meta":
+            meta_path.write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert cli_main(["separation", "--trace", str(trace), "--meta", str(meta_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR: ") and message in err
+        assert err.count("\n") == 1
 
     def test_csv_text_header_stable(self):
         assert rows_to_csv_text([]).strip() == ",".join(CSV_HEADER)

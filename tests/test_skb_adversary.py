@@ -1,9 +1,11 @@
 """Blocker-set line adversary structure."""
 
+import hashlib
+
 import pytest
 from reference_sim import reference_skb_uniform_run
 
-from gossipsim.core import run_simulation, validate_snapshot
+from gossipsim.core import NetworkSnapshot, run_simulation, validate_snapshot
 from gossipsim.harness import build_schedule, initial_state
 from gossipsim.protocols import get_protocol
 from gossipsim.skb_adversary import SkbAdversaryParams, build_skb_adversary, icbrt
@@ -104,6 +106,35 @@ class TestSchedule:
         for seg in schedule.metadata["segments"]:
             assert not (seen & set(seg["nodes"]))
             seen |= set(seg["nodes"])
+
+    def test_phase_fold(self):
+        """A second phase folds the exiled nodes back into the middle.  No
+        default n below 421,875 has two phases, so the count is forced
+        here.  At n=512 the first phase's 64 segments leave one exiled node
+        each, which the second phase watches in 8 segments of 8."""
+        params = SkbAdversaryParams(512, seed=1)
+        object.__setattr__(params, "phases", 2)
+        schedule = build_skb_adversary(params)
+        segments = schedule.metadata["segments"]
+        assert schedule.horizon == 576
+        assert len(segments) == 72
+        assert [s["phase"] for s in segments] == [1] * 64 + [2] * 8
+        # exiled blocks are prepended: the newest sits nearest the middle
+        folded = [v for s in reversed(segments[:64]) for v in s["outer"]]
+        assert [v for s in segments[64:] for v in s["nodes"]] == folded
+        span = params.segment_rounds
+        digest = hashlib.sha256()
+        for t in range(1, schedule.horizon + 1):
+            snap = schedule.snapshot_at(t)  # in order: derived from the segment before
+            assert validate_snapshot(snap).ok
+            assert max(len(a) for a in snap.adjacency) <= 2
+            k, offset = divmod(t - 1, span)
+            if offset == 0:
+                fresh = NetworkSnapshot(512, schedule.rounds.build(k).edges)
+                views = (fresh.edges, fresh.directed_edges, fresh.adjacency)
+                assert (snap.edges, snap.directed_edges, snap.adjacency) == views, f"segment {k}"
+                digest.update(repr(sorted(snap.edges)).encode())
+        assert digest.hexdigest()[:16] == "8750d41ef6636155"
 
     def test_deterministic(self):
         a = build_skb_adversary(SkbAdversaryParams(64, seed=6))
