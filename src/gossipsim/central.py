@@ -11,17 +11,18 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .core import (
     EngineRun,
-    NetworkSnapshot,
     RoundBudgetExhausted,
     Send,
     SimulationResult,
     TokenState,
     TokenUniverse,
+    bfs_distances,
     mask_tokens,
     token_mask,
 )
@@ -57,55 +58,28 @@ class ItemPool:
         return len(self.tokens)
 
 
-def _nearest_path(snapshot: NetworkSnapshot, sources: list[int], wanted: set[int]) -> list[int]:
-    """Shortest path from the sorted `sources` to the nearest `wanted` node,
-    ties to the lowest id.  Levels are expanded in ascending order, so each
-    node's parent is its lowest-id neighbour one level up; the search stops
-    at the first level holding a wanted node, or raises ValueError."""
-    adj = snapshot.adjacency
-    parent = [-1] * snapshot.n  # a source is its own parent
-    for s in sources:
-        parent[s] = s
-    level = sources
-    while level:
-        for v in level:
-            if v in wanted:  # the level is sorted, so v is its lowest wanted id
-                path = [v]
-                while parent[v] != v:
-                    v = parent[v]
-                    path.append(v)
-                return path[::-1]
-        nxt = []
-        for u in level:
-            for v in adj[u]:
-                if parent[v] < 0:
-                    parent[v] = u
-                    nxt.append(v)
-        nxt.sort()
-        level = nxt
-    raise ValueError("no wanted node is reachable from the sources")
-
-
 def load_balance(
     run: EngineRun,
     full_nodes: Iterable[int],
     targets: Iterable[int],
     pool: ItemPool,
 ) -> tuple[list[list[Send]], dict[int, int], StageLog]:
-    """Distribute the pool's items over the target nodes, one placement per
-    round in rank order.
+    """Distribute the pool's items over the target nodes by gradient routing.
 
     Guarantees: every item lands on exactly one target; per-target counts are
     floor(|pool|/|targets|) or the ceiling; which items land where depends
     only on the rank permutation, because routing is item-blind.
 
-    Routing: each round, the neediest-then-closest target is chosen (nodes
-    below the floor quota first, then below the ceiling; ties by distance
-    then node id).  While unintroduced items remain, the nearest full node
-    injects the next rank onto a shortest path; relay nodes along the path
-    forward their oldest undelivered item one hop toward the target.  A hop
-    with no item idles and the delivery is deferred; extra rounds beyond the
-    nominal |pool| budget are logged as overage.
+    A target is below quota under the floor, or under the ceiling once no
+    target is under the floor.  Each round, items queued at a below-quota
+    node land there, and so do a below-quota full target's next uninjected
+    items.  Then one BFS runs from the below-quota targets.  In ascending id
+    order, every node with queued items and every full node while items are
+    uninjected sends one item down each edge to a neighbour one level nearer
+    (neighbours ascending): the head of its FIFO queue first, then the next
+    item in injection order.  An arriving item lands if its node is below
+    quota then, else it joins that node's queue.  Rounds beyond the nominal
+    |pool| budget are logged as overage.
     """
     F = sorted(set(full_nodes))
     R = sorted(set(targets))
@@ -127,68 +101,88 @@ def load_balance(
     floor_q, rem = divmod(total, len(R))
     ceil_q = floor_q + (1 if rem else 0)
     order = pool.order
+    counts = dict.fromkeys(R, 0)
+    short = len(R) if floor_q else 0  # targets under the floor
+    # A node accepts an item while counts.get(node, ceil_q) < quota: a
+    # non-target never does.
+    quota = floor_q if short else ceil_q
+    full = set(F)
+    full_targets = [f for f in F if f in counts]
     injected = 0
-    queues: dict[int, list[int]] = {}
-    counts = {v: 0 for v in R}
+    queues: dict[int, deque[int]] = {}
     assignment: dict[int, int] = {}
     plans: list[list[Send]] = []
-    placed = 0
     rounds = 0
     max_extra = 64 + 8 * (total + state.n)
 
-    while placed < total:
+    def land(item: int, v: int) -> None:
+        nonlocal short, quota
+        assignment[item] = v
+        counts[v] += 1
+        if counts[v] == floor_q:
+            short -= 1
+            if not short:
+                quota = ceil_q
+
+    while True:
+        for v in sorted(queues):
+            queue = queues[v]
+            while queue and counts.get(v, ceil_q) < quota:
+                land(queue.popleft(), v)
+            if not queue:
+                del queues[v]
+        for f in full_targets:
+            while injected < total and counts[f] < quota:
+                land(order[injected], f)
+                injected += 1
+        if len(assignment) == total:
+            break
         if rounds - total > max_extra:
             raise LoadBalanceStalled(
-                f"{total - placed} items unplaced after {rounds} rounds"
+                f"{total - len(assignment)} items unplaced after {rounds} rounds"
             )
         snapshot = run.current_snapshot()
-        below_floor = {v for v in R if counts[v] < floor_q}
-        wanted = below_floor or {v for v in R if counts[v] < ceil_q}
-        pending = injected < total
-        path = _nearest_path(snapshot, F if pending else sorted(queues), wanted)
-        target = path[-1]
-
+        dist = bfs_distances(snapshot, [v for v in R if counts[v] < quota])
+        adj = snapshot.adjacency
+        senders = set(queues)
+        if injected < total:
+            senders |= full
         plan: list[Send] = []
-        moves: list[tuple[int, int | None, int]] = []  # (item, from-queue, to)
-        # A one-node path is a target that is its own source: the item lands
-        # with no send.
-        hops = list(zip(path, path[1:])) or [(target, target)]
-        for idx, (node, nxt) in enumerate(hops):
-            if idx == 0 and pending:
-                item, origin = order[injected], None
-            elif queues.get(node):
-                item, origin = queues[node][0], node
-            else:
-                continue
-            moves.append((item, origin, nxt))
-            if tokens[item] is not None and node != nxt:
-                plan.append((node, nxt, tokens[item]))
+        moves: list[tuple[int, int]] = []  # (item, receiving node)
+        for u in sorted(senders):
+            nearer = dist[u] - 1
+            queue = queues.get(u)
+            for w in adj[u]:
+                if dist[w] != nearer:
+                    continue
+                if queue:
+                    item = queue.popleft()
+                elif u in full and injected < total:
+                    item = order[injected]
+                    injected += 1
+                else:
+                    break
+                moves.append((item, w))
+                if tokens[item] is not None:
+                    plan.append((u, w, tokens[item]))
+            if queue is not None and not queue:
+                del queues[u]
 
         run.execute(plan)
         plans.append(plan)
         rounds += 1
-        for item, origin, dest in moves:
-            if origin is None:
-                injected += 1
+        for item, w in moves:
+            if counts.get(w, ceil_q) < quota:
+                land(item, w)
             else:
-                queues[origin].pop(0)
-                if not queues[origin]:
-                    del queues[origin]
-            if dest == target:
-                assignment[item] = dest
-                counts[dest] += 1
-                placed += 1
-                # One delivery per round: only the path's last hop reaches
-                # the target, so later moves cannot also land there.
-            else:
-                queues.setdefault(dest, []).append(item)
+                queues.setdefault(w, deque()).append(item)
 
     log = StageLog(
         stage="load-balance",
         rounds=rounds,
-        placed=placed,
+        placed=total,
         overage=max(0, rounds - total),
-        detail={"pool": total, "targets": len(R), "counts": dict(counts)},
+        detail={"pool": total, "targets": len(R), "counts": counts},
     )
     return plans, assignment, log
 

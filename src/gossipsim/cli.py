@@ -35,11 +35,10 @@ def _cmd_gen(args) -> int:
             spec[key] = getattr(args, key)
     try:
         schedule = build_schedule(spec, args.n, args.seed)
-    except (KeyError, ValueError) as exc:
-        print(f"gen: {exc.args[0]}", file=sys.stderr)
-        return 2
-    export_schedule(schedule, args.out)
-    save_metadata(schedule, default_metadata_path(args.out))
+        export_schedule(schedule, args.out)
+        save_metadata(schedule, default_metadata_path(args.out))
+    except _CONFIG_ERRORS as exc:
+        return _config_error(exc)
     print(f"wrote {args.out} (n={schedule.n}, horizon={schedule.horizon}, mode={schedule.mode})")
     return 0
 
@@ -50,6 +49,8 @@ def _cmd_validate(args) -> int:
     except ValueError as exc:
         print(f"REJECT: {exc}")
         return 1
+    except OSError as exc:
+        return _config_error(exc)
     # The reader has checked every round; only the path family is left.
     problems = _paths_problems(schedule, default_metadata_path(args.schedule)) if args.paths else []
     if problems:

@@ -183,6 +183,44 @@ def test_criterion_05_centralized_kgossip_grid():
     assert report(5, ok, f"incomplete={incomplete} over_budget={over_budget}")
 
 
+def kgossip_rounds(adversary, mode, n, k, seed):
+    """Completion round of central k-gossip from one source holding k
+    tokens, within the nk budget; None if it does not complete."""
+    config = ExperimentConfig(
+        adversary,
+        {"name": "central-kgossip", "mode": mode},
+        {"kind": "single-source", "tokens": k},
+        [n], [seed], n * k,
+    )
+    return run_cell(config, n, seed).completion_round
+
+
+def test_criterion_14_staged_beats_naive():
+    """Staged central k-gossip from one source completes within nk and in
+    fewer rounds than naive per-token flooding, on the static line and on
+    round-robin ring-failure (horizon nk, so the ring fails for the whole
+    run), n in {32, 64, 128}, k in {n, 2n}, seeds 1-3.  k = n/2 is not
+    gated: a padded group costs as much as a full one (README)."""
+    failures = []
+    ratios = []
+    for adversary in ({"name": "static-line"}, {"name": "ring-failure", "policy": "round-robin"}):
+        for n in (32, 64, 128):
+            for k in (n, 2 * n):
+                if adversary["name"] == "ring-failure":
+                    adversary = {**adversary, "horizon": n * k}
+                # Naive flooding draws nothing, and neither schedule reads
+                # the seed, so one naive run serves every seed.
+                naive = kgossip_rounds(adversary, "naive", n, k, 1)
+                for seed in (1, 2, 3):
+                    staged = kgossip_rounds(adversary, "staged", n, k, seed)
+                    if staged is None or naive is None or staged >= naive:
+                        failures.append((adversary["name"], n, k, seed, staged, naive))
+                    else:
+                        ratios.append(staged / naive)
+    ok = not failures
+    assert report(14, ok, f"failures={failures} staged/naive max={max(ratios, default=0):.3f}")
+
+
 def target_join_round(metadata, node):
     """Round after which `node` sits right of the source for good: the end of
     the last segment that exiled it, or 0 if no interval ever held it."""

@@ -287,7 +287,7 @@ class TestKGossip:
             assert result.rounds_executed == result.completion_round
             assert sum(log.rounds for log in outcome.stage_logs) == result.rounds_executed
 
-    @pytest.mark.parametrize("n, k, completion", [(32, 16, 915), (64, 32, 2902)])
+    @pytest.mark.parametrize("n, k, completion", [(32, 16, 458), (64, 32, 1155)])
     def test_staged_broadcast_stops_at_completion(self, n, k, completion):
         """k < n pads the group with dummies; the broadcast stage ends once
         every real token is everywhere, not once the dummies are too."""
@@ -356,12 +356,13 @@ class TestKGossipOnPathFamilies:
 
 
 class TestKGossipOnInvasiveSchedules:
-    @pytest.mark.parametrize("mode, completion", [("staged", 13198), ("naive", 15746)])
+    @pytest.mark.parametrize("mode, completion", [("staged", 3437), ("naive", 15746)])
     def test_counts_include_inserted_tokens(self, mode, completion):
         """The invasive line inserts tokens while k-gossip runs; a flood's
         holder count (staged consolidation and residual floods, naive
         floods) takes them in with the sent ones.  Counting only sends gave
-        13205 rounds (staged) and 15885 (naive)."""
+        13205 rounds (staged, under the earlier single-path load balance)
+        and 15885 (naive)."""
         n = 144
         schedule = build_blocker_line_invasive(BlockerLineParams(n, 1))
         universe = kgossip_universe(n, n)
@@ -425,3 +426,26 @@ class TestLoadBalanceStalls:
         )
         cell = run_cell(config, 9, 1)
         assert cell.timed_out and cell.completion_round is None
+
+
+@pytest.mark.parametrize(
+    "adversary, protocol, initial, n, completion",
+    [
+        ({"name": "static-line"}, {"name": "central-broadcast"}, {"kind": "single-source"}, 128, 380),
+        ({"name": "blocker-invasive"}, {"name": "central-broadcast"}, {"kind": "single-source"}, 100, 268),
+        (
+            {"name": "static-line"}, {"name": "central-kgossip", "mode": "staged"},
+            {"kind": "one-token-per-node"}, 128, 3412,
+        ),
+    ],
+    ids=["broadcast-line-128", "broadcast-invasive-100", "staged-per-node-line-128"],
+)
+def test_cells_that_drained_one_item_a_round_complete(adversary, protocol, initial, n, completion):
+    """A load balance that sent one item a round down one path stalled
+    (`load-balance-stalled`) on these cells, seed 1; gradient routing moves
+    every queued item each round, and each cell completes in well under a
+    second."""
+    config = ExperimentConfig(adversary, protocol, initial, [n], [1], 400000)
+    cell = run_cell(config, n, 1)
+    assert not cell.timed_out
+    assert cell.completion_round == completion

@@ -1,6 +1,6 @@
-"""Load-balance routing: the early-stopping BFS against the full-BFS rule it
-replaced, staged runs' load-balance plans and central broadcasts' executed
-plans pinned by sha256 prefixes."""
+"""Load-balance routing: the gradient router's guarantees on random graphs,
+full/target splits and pools, staged runs' load-balance plans and central
+broadcasts' executed plans pinned by sha256 prefixes."""
 
 import hashlib
 import json
@@ -10,29 +10,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gossipsim import central
-from gossipsim.core import EngineRun, NetworkSnapshot, bfs_distances
+from gossipsim.core import (
+    AdversarySchedule,
+    EngineRun,
+    NetworkSnapshot,
+    TokenState,
+    TokenUniverse,
+    derive_rng,
+)
 from gossipsim.harness import ExperimentConfig, build_schedule, initial_state, run_cell
-
-
-def reference_path(snapshot, sources, wanted):
-    """The full-BFS rule: the wanted node nearest the sources (ties to the
-    lowest id), reached by walking back along lowest-id neighbours one BFS
-    level up."""
-    dist = bfs_distances(snapshot, sources)
-    target = min(wanted, key=lambda v: (dist[v], v))
-    adj = snapshot.adjacency
-    path = [target]
-    node = target
-    while dist[node] > 0:
-        node = min(v for v in adj[node] if dist[v] == dist[node] - 1)
-        path.append(node)
-    path.reverse()
-    return path
+from gossipsim.random_schedules import build_random_interval_connected
 
 
 @st.composite
 def relabelled(draw, shape):
-    """A connected graph of the given shape on 1..24 nodes, ids permuted."""
+    """A connected graph of the given shape on 1..24 nodes, ids permuted,
+    as a static schedule."""
     n = draw(st.integers(1, 24))
     ids = draw(st.permutations(range(n)))
     if shape == "tree":
@@ -46,41 +39,62 @@ def relabelled(draw, shape):
         edges = list(zip(ids, ids[1:])) + ([(ids[-1], ids[0])] if n > 2 else [])
     else:
         edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    return NetworkSnapshot(n, edges)
+    return AdversarySchedule(n, 1, [NetworkSnapshot(n, edges)], cyclic_extendable=True)
 
 
 @st.composite
-def routing_case(draw):
-    snapshot = draw(st.sampled_from(["tree", "line", "cycle", "complete"]).flatmap(relabelled))
-    nodes = st.integers(0, snapshot.n - 1)
-    sources = draw(st.sets(nodes, min_size=1))
-    wanted = draw(st.sets(nodes, min_size=1))
-    return snapshot, sources, wanted
+def random_rounds(draw):
+    """A dynamic schedule: a fresh random connected graph every round."""
+    n = draw(st.integers(2, 16))
+    p = draw(st.sampled_from([0.0, 0.2]))
+    return build_random_interval_connected(n, p, seed=draw(st.integers(0, 999)), horizon=32)
 
 
-@settings(max_examples=400, deadline=None)
-@given(routing_case())
-def test_nearest_path_matches_full_bfs_rule(case):
-    snapshot, sources, wanted = case
-    path = central._nearest_path(snapshot, sorted(sources), wanted)
-    assert path == reference_path(snapshot, sources, wanted)
-    assert path[0] in sources and path[-1] in wanted
-    assert all(b in snapshot.adjacency[a] for a, b in zip(path, path[1:]))
+token = st.one_of(st.none(), st.integers(0, 5))  # None is a padding blank
 
 
-def test_overlapping_sources_and_wanted_route_in_place():
-    snapshot = NetworkSnapshot(4, [(0, 1), (1, 2), (2, 3)])
-    assert central._nearest_path(snapshot, [1, 3], {3, 0}) == [3]
+@st.composite
+def balance_case(draw):
+    """A schedule, a full/target split covering every node (a node may be
+    both), and two payload lists of one length, blanks included."""
+    shapes = st.sampled_from(["tree", "line", "cycle", "complete"]).flatmap(relabelled)
+    schedule = draw(st.one_of(shapes, random_rounds()))
+    n = schedule.n
+    # 0: full only, 1: target only, 2: both.  Someone is full, someone a target.
+    roles = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    if all(r == 1 for r in roles) or all(r == 0 for r in roles):
+        roles[draw(st.integers(0, n - 1))] = 2
+    full = [v for v in range(n) if roles[v] != 1]
+    targets = [v for v in range(n) if roles[v] != 0]
+    tokens = draw(st.lists(token, min_size=1, max_size=48))
+    other = draw(st.lists(token, min_size=len(tokens), max_size=len(tokens)))
+    return schedule, full, targets, tokens, other, draw(st.integers(0, 2**32))
 
 
-def test_unreachable_wanted_nodes_raise():
-    """Two components: the search ends once the sources' component is
-    exhausted instead of looping."""
-    snapshot = NetworkSnapshot(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
-    with pytest.raises(ValueError):
-        central._nearest_path(snapshot, [0], {4, 5})
-    with pytest.raises(ValueError):
-        central._nearest_path(NetworkSnapshot(3, []), [0, 1], {2})
+def balance(schedule, full, targets, tokens, seed):
+    state = TokenState(schedule.n, TokenUniverse(6, 6), {f: range(6) for f in full})
+    run = EngineRun(schedule, state, seed=0, max_rounds=100000)
+    pool = central.ItemPool(tokens, derive_rng("router", seed))
+    return central.load_balance(run, full, targets, pool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(balance_case())
+def test_gradient_router_guarantees(case):
+    """Every item lands once, every target ends at the floor or the
+    ceiling, no directed edge carries two tokens in a round, no call stalls,
+    and the assignment depends on the rank permutation, not the payloads."""
+    schedule, full, targets, tokens, other, seed = case
+    plans, assignment, log = balance(schedule, full, targets, tokens, seed)
+    total = len(tokens)
+    assert sorted(assignment) == list(range(total)) and log.placed == total
+    floor_q, rem = divmod(total, len(targets))
+    counts = [list(assignment.values()).count(v) for v in targets]
+    assert sorted(counts) == [floor_q] * (len(targets) - rem) + [floor_q + 1] * rem
+    assert log.rounds == len(plans)
+    for plan in plans:
+        assert len({(u, v) for u, v, _ in plan}) == len(plan)
+    assert balance(schedule, full, targets, other, seed)[1] == assignment
 
 
 SOURCE_128 = {"kind": "single-source", "tokens": 128}
@@ -89,16 +103,16 @@ SOURCE_128 = {"kind": "single-source", "tokens": 128}
 @pytest.mark.parametrize(
     "adversary, n, initial, calls, rounds, digest",
     [
-        ({"name": "static-line"}, 64, SOURCE_128, 4, 5065, "b170b1f3c3466c18"),
+        ({"name": "static-line"}, 64, SOURCE_128, 4, 1298, "fcdc94e8f8e03554"),
         (
             {"name": "ring-failure", "policy": "round-robin", "horizon": 8192},
-            64, SOURCE_128, 4, 3192, "8a08ef69306759ab",
+            64, SOURCE_128, 4, 1333, "5c752e7d925fffd7",
         ),
         (
             {"name": "random", "extra_edge_prob": 0.1, "horizon": 2048},
-            32, SOURCE_128, 3, 621, "d5f51f18b7324ca5",
+            32, SOURCE_128, 3, 183, "69063d89e7bfc1dd",
         ),
-        ({"name": "static-line"}, 64, {"kind": "one-token-per-node"}, 5, 3763, "892d374f76fa686b"),
+        ({"name": "static-line"}, 64, {"kind": "one-token-per-node"}, 5, 596, "4d88412609aefc31"),
     ],
     ids=["static-line", "ring-failure", "random", "static-line-per-node"],
 )
@@ -133,8 +147,8 @@ def test_staged_load_balance_plans_pinned(monkeypatch, adversary, n, initial, ca
 @pytest.mark.parametrize(
     "adversary, n, phases, completion, digest",
     [
-        ({"name": "skb-blocker"}, 100, 2, 1610, "bfdab0aa1d9f1cb3"),
-        ({"name": "static-line"}, 64, 1, 1089, "225bf343868b8fc8"),
+        ({"name": "skb-blocker"}, 100, 2, 381, "8c25bf9937eec1ad"),
+        ({"name": "static-line"}, 64, 1, 188, "4c215b425d46a41c"),
     ],
     ids=["skb-blocker", "static-line"],
 )

@@ -283,8 +283,27 @@ class TestCli:
         assert out.read_text() == schedule_to_text(built)
         assert cli_main(["validate", str(out), "--paths"]) == 0
         no_r = ["gen", "--adversary", "center-terminal", "--n", "12", "--seed", "3", "--horizon", "20"]
-        assert cli_main(no_r + ["--out", str(tmp_path / "no_r.dgs")]) == 2
+        assert cli_main(no_r + ["--out", str(tmp_path / "no_r.dgs")]) == 1
         assert not (tmp_path / "no_r.dgs").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--adversary", "static-line", "--n", "4", "--seed", "1", "--out", "nodir/x.dgs"],
+            ["gen", "--adversary", "center-terminal", "--n", "12", "--seed", "3", "--horizon", "20",
+             "--out", "ct.dgs"],
+            ["validate", "nodir/x.dgs"],
+        ],
+        ids=["gen-missing-dir", "gen-without-r", "validate-missing-file"],
+    )
+    def test_gen_and_validate_errors_are_one_line(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ERROR: ") and captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_validate_rejects_paths_violation(self, tmp_path, capsys):
         out = tmp_path / "ring.dgs"
@@ -617,7 +636,7 @@ class TestCrossProcessDeterminism:
             {"name": "random", "extra_edge_prob": 0.1, "horizon": 4096},
             {"name": "central-kgossip", "mode": "staged"},
             {"kind": "single-source", "tokens": 32}, 16, 4096, False,
-            182, 16, ("2d0ea0429659fd72", "9a1d1ae24f8d9346"),
+            134, 16, ("77933a0aab610f09", "0071509489a494c9"),
         ),
         (  # skb-blocker's cell, smaller
             {"name": "skb-blocker"}, {"name": "skb-uniform"}, {"kind": "single-source"},
