@@ -39,6 +39,7 @@ in the schedule metadata.
 from __future__ import annotations
 
 import math
+import random
 from array import array
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -57,6 +58,7 @@ from .core import (
 )
 
 DEFAULT_EPSILON = 1.0 / 32.0  # largest scatter fraction the dilution bound tolerates
+_HALF = bytes(49 - (b >> 7) for b in range(256))  # top byte -> b"1" if its top bit is clear
 
 
 @dataclass(frozen=True)
@@ -133,19 +135,18 @@ def _trajectory(params: BlockerLineParams) -> tuple[list[_Segment], list[list[in
     right-line nodes when its segment comes, its inner nodes retire
     leftward, and the rest are exiled to the far right end of the line.
     """
-    left: list[int] = []
-    right = list(range(1, params.n))
+    n = params.n
+    left, source, right = node_array(n), node_array(n, [0]), node_array(n, range(1, n))
     width = 2 * params.sqrt_n
     segments: list[_Segment] = []
     right_lines: list[list[int]] = []
     moves: tuple[list[Edge], list[Edge]] = ([], [])
     for phase in range(1, params.phases + 1):
         for j in range(1, params.segments_per_phase + 1):
-            line = node_array(params.n, left + [0] + right)
-            segments.append(_Segment(phase, j, right[:width], line, moves))
-            left, right, exiled, moves = line_step(left, right, [], width, params.inner_width)
+            segments.append(_Segment(phase, j, right[:width].tolist(), left + source + right, moves))
+            left, right, exiled, moves = line_step(left, right, node_array(n), width, params.inner_width)
             right += exiled
-        right_lines.append(list(right))
+        right_lines.append(right.tolist())
     return segments, right_lines
 
 
@@ -153,9 +154,7 @@ def _base_metadata(
     params: BlockerLineParams, variant: str, segments: list[_Segment], right_lines: list[list[int]]
 ) -> dict:
     groups = blocker_partition(params)
-    sentinel = sorted(
-        tok for g in range(params.phases, params.sqrt_n) for tok in groups[g]
-    )
+    sentinel = list(range(params.phases * params.sqrt_n, params.n))  # the unused groups' tokens
     rounds = params.segment_rounds
     return {
         "generator": f"blocker-line-{variant}",
@@ -196,6 +195,18 @@ def _base_metadata(
     }
 
 
+def _half_scatter(rng: random.Random, tokens: int, width: int) -> list[int]:
+    """Node masks of a 1/2-scatter: one rng.random() per (token, node),
+    token-major, so draw d = b*width + i sets bit b of node i's mask when it
+    is below 1/2, that is, when the top bit of its first 32-bit word, 2d, is
+    clear.  CPython fills getrandbits words least significant first, so one
+    getrandbits gives that bit as the top of byte 8d + 3 (little-endian) and
+    leaves the rng where the random() loop would."""
+    draws = tokens * width
+    hits = rng.getrandbits(64 * draws).to_bytes(8 * draws, "little")[3::8].translate(_HALF)
+    return [int(hits[i::width][::-1], 2) for i in range(width)]
+
+
 def build_blocker_line_invasive(params: BlockerLineParams) -> AdversarySchedule:
     """Blocker-line schedule whose insertions are explicit pre-committed events.
 
@@ -217,15 +228,9 @@ def build_blocker_line_invasive(params: BlockerLineParams) -> AdversarySchedule:
     for seg in segments:
         group = groups[seg.phase - 1]
         scatter_nodes = seg.interval[: params.sqrt_n]
-        # One draw per (token, node), token-major: this order fixes each
-        # seed's scatter.  Groups are contiguous: mask bit i is group[i].
-        masks = [0] * len(scatter_nodes)
-        for bit in range(len(group)):
-            for i in range(len(scatter_nodes)):
-                if rng.random() < 0.5:
-                    masks[i] |= 1 << bit
+        # Groups are contiguous: mask bit b is group[b].
         at = by_round.setdefault(round_index, {})
-        for node, mask in zip(scatter_nodes, masks):
+        for node, mask in zip(scatter_nodes, _half_scatter(rng, len(group), len(scatter_nodes))):
             if mask:
                 at[node] = at.get(node, 0) | mask << group[0]
         round_index += params.segment_rounds

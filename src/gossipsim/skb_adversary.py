@@ -85,9 +85,8 @@ def build_skb_adversary(params: SkbAdversaryParams) -> AdversarySchedule:
     n = params.n
     sets = blocker_sets(params)
     reserved = params.phases * params.sets_per_phase * params.blocker_set_size
-    left: list[int] = []
-    middle: list[int] = list(range(1, n))
-    right: list[int] = []
+    left, source, right = node_array(n), node_array(n, [0]), node_array(n)
+    middle = node_array(n, range(1, n))
 
     meta = {
         "generator": "skb-blocker",
@@ -120,22 +119,18 @@ def build_skb_adversary(params: SkbAdversaryParams) -> AdversarySchedule:
     width = params.blocker_set_size
 
     for phase in range(1, params.phases + 1):
-        middle = middle + right
-        right = []
+        middle, right = middle + right, node_array(n)
         set_masks = [token_mask(s) for s in sets[phase - 1]]
         for segment in range(1, params.segments_per_phase + 1):
             if not middle:
                 break
-            watched = middle[:width]
-            lines.append(node_array(n, left + [0] + middle + right))
+            watched = middle[:width].tolist()  # one int object per node for the segment's pairs
+            lines.append(left + source + middle + right)
             start = round_index + 1
             for k in range(1, params.segment_rounds + 1):
                 round_index += 1
                 # Node v_m receives set B_{phase, k-m+1} (0-based index k - m).
-                insertions[round_index] = sorted(
-                    (watched[m_idx - 1], set_masks[k - m_idx])
-                    for m_idx in range(1, min(k, len(watched)) + 1)
-                )
+                insertions[round_index] = sorted(zip(watched[:k], set_masks[k - 1 :: -1]))
             left_before = len(left)
             left, middle, right, step = line_step(left, middle, right, width, params.inner_width)
             moves.append(step)
@@ -145,7 +140,7 @@ def build_skb_adversary(params: SkbAdversaryParams) -> AdversarySchedule:
                     "phase": phase,
                     "segment": segment,
                     "rounds": [start, round_index],
-                    "nodes": list(watched),
+                    "nodes": watched,
                     "inner": watched[:iw],
                     "outer": watched[iw:],
                 }

@@ -3,17 +3,21 @@
 import hashlib
 import json
 import math
+import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gossipsim.blocker_line import (
     BlockerLineParams,
+    _half_scatter,
     blocker_partition,
     build_blocker_line_invasive,
     build_blocker_line_oblivious,
 )
-from gossipsim.core import token_mask, validate_snapshot
+from gossipsim.core import derive_rng, token_mask, validate_snapshot
 from gossipsim.dgs1 import schedule_to_text
 
 
@@ -157,6 +161,54 @@ class TestInvasive:
     def test_validates_as_schedule(self):
         schedule = build_blocker_line_invasive(BlockerLineParams(64, seed=7))
         assert schedule.validate() == []
+
+
+def reference_half_scatter(rng, tokens, width):
+    """The 1/2-scatter's draw contract as written: one `random()` per
+    (token, node), token-major, and bit b of node i's mask set when token
+    b's draw for node i is below 1/2."""
+    masks = [0] * width
+    for bit in range(tokens):
+        for i in range(width):
+            if rng.random() < 0.5:
+                masks[i] |= 1 << bit
+    return masks
+
+
+@settings(max_examples=300, deadline=None)
+@given(tokens=st.integers(1, 64), width=st.integers(1, 40), seed=st.integers(0, 2**64))
+def test_half_scatter_matches_the_per_draw_loop(tokens, width, seed):
+    """The batched read gives the loop's masks and leaves the rng where the
+    loop leaves it."""
+    batched, looped = random.Random(seed), random.Random(seed)
+    assert _half_scatter(batched, tokens, width) == reference_half_scatter(looped, tokens, width)
+    assert batched.random() == looped.random()
+
+
+@pytest.mark.parametrize("epsilon", [None, 0.375, 0.5], ids=["eps-default", "eps-0.375", "eps-0.5"])
+@pytest.mark.parametrize("n", [64, 100, 144, 256, 1024])
+def test_invasive_insertions_match_the_per_draw_scatter(n, epsilon):
+    """Every insertion of a whole build, rebuilt from its metadata with the
+    per-draw loop: each segment's scatter in segment order from the build's
+    stream, and each phase's right-line completion."""
+    for seed in (1, 2, 3):
+        params = BlockerLineParams(n, seed) if epsilon is None else BlockerLineParams(n, seed, epsilon)
+        schedule = build_blocker_line_invasive(params)
+        meta = schedule.metadata
+        rng = derive_rng(seed, "blocker-line", "insertions")
+        expected = {}
+        for seg in meta["segments"]:
+            group = meta["blocker_groups"][seg["phase"] - 1]
+            nodes = seg["insert_nodes"]
+            at = expected.setdefault(seg["rounds"][0] - 1, {})
+            for node, mask in zip(nodes, reference_half_scatter(rng, len(group), len(nodes))):
+                at[node] = at.get(node, 0) | mask << group[0]
+            if seg["segment"] == params.segments_per_phase:
+                at = expected.setdefault(seg["rounds"][1], {})
+                for node in meta["right_line_per_phase"][seg["phase"] - 1]:
+                    at[node] = at.get(node, 0) | token_mask(group)
+        expected = {t: sorted((v, m) for v, m in at.items() if m) for t, at in expected.items()}
+        assert schedule.insertion_masks == {t: pairs for t, pairs in expected.items() if pairs}
 
 
 class TestOblivious:

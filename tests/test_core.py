@@ -1,6 +1,7 @@
 """Engine semantics: snapshot validation, round application, determinism."""
 
 import hashlib
+import json
 import math
 import sys
 import tracemalloc
@@ -925,6 +926,82 @@ def test_right_line_completion_round_keeps_insertions_as_masks():
 def test_dgs1_export_pinned(build, digest):
     text = schedule_to_text(build())
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def line_build_digests(build, monkeypatch) -> dict:
+    """What a line build hands on, hashed part by part: each segment's line
+    order and moves as `RoundSource.lines` receives them (the moves it
+    reads, segments 1 on), every insertion as (round, node, mask), and the
+    metadata as sorted-key JSON."""
+    handed = {}
+    lines = RoundSource.lines.__func__
+
+    def record(cls, n, orders, span, moves):
+        handed.update(orders=orders, moves=moves)
+        return lines(cls, n, orders, span, moves)
+
+    monkeypatch.setattr(RoundSource, "lines", classmethod(record))
+    schedule = build()
+    orders, moves = handed["orders"], handed["moves"]
+    parts = {
+        "lines": repr([list(order) for order in orders]),
+        "moves": json.dumps([moves[k] for k in range(1, len(orders))]),
+        "insertions": json.dumps(
+            [[t, node, mask] for t in sorted(schedule.insertion_masks)
+             for node, mask in schedule.insertion_masks[t]]
+        ),
+        "metadata": json.dumps(schedule.metadata, sort_keys=True),
+    }
+    return {k: hashlib.sha256(v.encode()).hexdigest()[:16] for k, v in parts.items()}
+
+
+# Line builds at benchmark size, pinned part by part: blocker-sentinel's
+# invasive line (n=4096), a two-phase invasive line at ε = 3/8, the
+# oblivious line over the same trajectory, and skb-blocker's line (n=2048).
+@pytest.mark.parametrize(
+    "build, digests",
+    [
+        (
+            lambda: build_blocker_line_invasive(BlockerLineParams(4096, 7)),
+            {
+                "lines": "c0284507d9aa9409",
+                "moves": "76f4dd9d2884404c",
+                "insertions": "a2a3eb822b6c7b57",
+                "metadata": "eb49bf517bf7afa8",
+            },
+        ),
+        (
+            lambda: build_blocker_line_invasive(BlockerLineParams(2304, 1, epsilon=0.375)),
+            {
+                "lines": "83dc1ff743a1f61c",
+                "moves": "e3c936671c51f4b0",
+                "insertions": "211470d3d544b796",
+                "metadata": "f80eede34c219c88",
+            },
+        ),
+        (
+            lambda: build_blocker_line_oblivious(BlockerLineParams(4096, 7)),
+            {
+                "lines": "f08e761198199537",
+                "moves": "3188572d181944e2",
+                "insertions": "4f53cda18c2baa0c",
+                "metadata": "4ce5381e358ef4ae",
+            },
+        ),
+        (
+            lambda: build_skb_adversary(SkbAdversaryParams(2048, 7)),
+            {
+                "lines": "378010308171722c",
+                "moves": "1248d34e97436c8f",
+                "insertions": "3ef048ec1fef32d7",
+                "metadata": "d740c0f649e0ef90",
+            },
+        ),
+    ],
+    ids=["invasive-4096", "invasive-2304-eps0.375", "oblivious-4096", "skb-2048"],
+)
+def test_line_build_pinned_at_benchmark_size(build, digests, monkeypatch):
+    assert line_build_digests(build, monkeypatch) == digests
 
 
 # ---------------------------------------------------------------------------
