@@ -137,16 +137,20 @@ def _trajectory(params: BlockerLineParams) -> tuple[list[_Segment], list[list[in
     """
     n = params.n
     left, source, right = node_array(n), node_array(n, [0]), node_array(n, range(1, n))
+    # The metadata lists map through one list of node ints, so they share
+    # one int object per node instead of each owning its own.
+    node = list(range(n)).__getitem__
     width = 2 * params.sqrt_n
     segments: list[_Segment] = []
     right_lines: list[list[int]] = []
     moves: tuple[list[Edge], list[Edge]] = ([], [])
     for phase in range(1, params.phases + 1):
         for j in range(1, params.segments_per_phase + 1):
-            segments.append(_Segment(phase, j, right[:width].tolist(), left + source + right, moves))
+            interval = list(map(node, right[:width]))
+            segments.append(_Segment(phase, j, interval, left + source + right, moves))
             left, right, exiled, moves = line_step(left, right, node_array(n), width, params.inner_width)
             right += exiled
-        right_lines.append(right.tolist())
+        right_lines.append(list(map(node, right)))
     return segments, right_lines
 
 
