@@ -278,23 +278,25 @@ class RoundSource:
     itself, a variant index or a segment.  `build(key)` makes that graph.
     Only the latest key's snapshot is kept, so the rounds of one segment and
     a cyclic tail reuse one object and its cached adjacency and directed
-    edges, while the generator keeps only its compact per-round data.  Line
-    schedules derive each segment's graph from the kept one (`lines`).
-    """
+    edges, while the generator keeps only its compact per-round data.  A new
+    key's graph is the kept one `edited` by `edit(kept_key, key)`'s (removed,
+    added) canonical pairs, splicing what the kept one built, or if `edit`
+    is absent or returns None, `build(key)`; the graphs are the same."""
 
-    __slots__ = ("key_of", "build", "_key", "_snapshot")
+    __slots__ = ("key_of", "build", "edit", "_key", "_snapshot")
 
-    def __init__(
-        self, key_of: Callable[[int], Hashable], build: Callable[[Hashable], NetworkSnapshot]
-    ):
+    def __init__(self, key_of: Callable[[int], Hashable], build: Callable[[Hashable], NetworkSnapshot],
+                 edit: Callable[[Hashable, Hashable], tuple | None] | None = None):
         self.key_of = key_of
         self.build = build
+        self.edit = edit
         self._key = self._snapshot = None
 
     def __call__(self, t: int) -> NetworkSnapshot:
         key = self.key_of(t)
         if key != self._key:
-            self._snapshot = self.build(key)
+            moves = None if self._snapshot is None or not self.edit else self.edit(self._key, key)
+            self._snapshot = self.build(key) if moves is None else self._snapshot.edited(*moves)
             self._key = key
         return self._snapshot
 
@@ -312,18 +314,14 @@ class RoundSource:
     ) -> "RoundSource":
         """Round t is the path graph along `orders[(t-1) // span]`.
 
-        `moves[k]` is the generator's (removed, added) canonical pairs that
-        take order k-1 to order k (`moves[0]` is not read).  The segment
-        after the kept one is the kept graph `edited` by its moves, so it
-        costs what changes; any other access builds the line afresh."""
-
-        def build(k: int) -> NetworkSnapshot:
-            if k and source._key == k - 1:
-                return source._snapshot.edited(*moves[k])
-            return NetworkSnapshot.line(n, orders[k])
-
-        source = cls(lambda t: (t - 1) // span, build)
-        return source
+        The segment k after the kept one is edited by `moves[k]`, the
+        generator's (removed, added) canonical pairs from order k-1 to
+        order k; any other access builds the line afresh."""
+        return cls(
+            lambda t: (t - 1) // span,
+            lambda k: NetworkSnapshot.line(n, orders[k]),
+            lambda kept, k: moves[k] if kept == k - 1 else None,
+        )
 
 
 def line_step(
@@ -363,9 +361,9 @@ class AdversarySchedule:
 
     `snapshot_at(t)` is the graph for round t (rounds are 1-indexed), from
     the round source `rounds`; a sequence of one snapshot per round is
-    accepted in its place.  Rounds are cheapest in order: a line schedule
-    derives each segment's graph from the one before, and any other access
-    builds the same graph afresh.  When `cyclic_extendable` is set, rounds beyond
+    accepted in its place.  Rounds are cheapest in order: line, ring-failure
+    and center-terminal rounds are edits of the round before (a ring round,
+    of any kept one), and others build the same graph afresh.  When `cyclic_extendable` is set, rounds beyond
     the horizon repeat the final graph (a static, still-connected tail).
     `insertion_masks[t]` holds round t's insertions as ascending (node, token
     mask) pairs: the tokens appear at the node at the end of round t, and

@@ -114,19 +114,26 @@ def build_schedule(spec: dict, n: int, fallback_seed: int) -> AdversarySchedule:
 # Initial distributions
 
 
+_INITIAL_KEYS = {"single-source": {"kind", "source", "tokens", "start_holdings"},
+                 "one-token-per-node": {"kind"}, "file": {"kind", "path"}}
+
+
 def initial_state(spec: dict, n: int, schedule: AdversarySchedule) -> TokenState:
     """Start distribution named by `spec["kind"]`.
 
     `single-source` puts every token at the source (the generator's
     designated source by default); a generator that declares
     `start_holdings` (the oblivious blocker line) adds those holdings at
-    their nodes, unless `spec["start_holdings"]` is false.
-    """
+    their nodes, unless `spec["start_holdings"]` is false.  A key the kind
+    does not read (`_INITIAL_KEYS`) is a config error, a KeyError."""
     kind = spec.get("kind", "single-source")
+    unknown = sorted(spec.keys() - _INITIAL_KEYS.get(kind, spec.keys()))
+    if unknown:
+        raise KeyError(f"unknown {kind} key {unknown[0]!r}")
     if kind == "single-source":
         source = spec.get("source", schedule.metadata.get("source", 0))
         size = spec.get("tokens", n)
-        universe = TokenUniverse(size=size, real_count=spec.get("real_tokens", size))
+        universe = TokenUniverse(size=size, real_count=size)
         holdings = {}
         if spec.get("start_holdings", True):
             holdings = {node: tokens for node, tokens in schedule.metadata.get("start_holdings", ())}
@@ -476,14 +483,8 @@ def sweep(config: ExperimentConfig) -> SweepSummary:
 
 
 def save_trace(state: TokenState, path: str | Path) -> None:
-    payload = {
-        "n": state.n,
-        "arrivals": [
-            {str(tok): rnd for tok, rnd in state.arrivals[v].items()}
-            for v in range(state.n)
-        ],
-    }
-    Path(path).write_text(json.dumps(payload) + "\n", encoding="utf-8")
+    arrivals = [{str(tok): rnd for tok, rnd in view.items()} for view in state.arrivals]
+    Path(path).write_text(json.dumps({"n": state.n, "arrivals": arrivals}) + "\n", encoding="utf-8")
 
 
 def load_trace(path: str | Path) -> list[dict[int, int]]:

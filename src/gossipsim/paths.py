@@ -151,17 +151,20 @@ def build_ring_failure(
     }
     if policy not in policies:
         raise ValueError(f"unknown policy {policy!r}")
-    # Round t removes ring edge (k, k+1 mod n) for its stored k.
+    # Round t removes edge(k) for its stored k; from a kept round it restores the kept edge.
     removed = node_array(n, map(policies[policy], range(horizon)))
 
-    def build(k: int) -> NetworkSnapshot:
-        infra.directed_edges  # sorted in the first round; every round's graph splices it
-        return infra.edited([(k, k + 1) if k + 1 < n else (0, k)])
+    def edge(k: int) -> Edge:  # ring edge (k, k+1 mod n), canonical
+        return (k, k + 1) if k + 1 < n else (0, k)
 
     schedule = AdversarySchedule(
         n=n,
         horizon=horizon,
-        rounds=RoundSource(lambda t: removed[t - 1], build),
+        rounds=RoundSource(
+            lambda t: removed[t - 1],
+            lambda k: infra.edited([edge(k)]),
+            lambda kept, k: ([edge(k)], [edge(kept)]),
+        ),
         mode="oblivious",
         metadata=metadata,
         cyclic_extendable=True,
@@ -240,18 +243,21 @@ def build_center_terminal(
     infra, systems = path_family(metadata)
     rng = derive_rng(seed, "center-terminal", n, r, horizon)
     offset = rng.randrange(r)
-    # Round t disables centers first, first + 1, ... (mod r) for its stored first.
+    # Round t disables centers first, first + 1, ... (mod r) for its stored first; a
+    # rotation step cuts the entering center and restores the leaving one (the same if none fail).
     firsts = node_array(r, ((offset + t) % r for t in range(horizon)))
 
-    def build(first: int) -> NetworkSnapshot:
-        disabled = [(first + i) % r for i in range(fail_count)]
-        infra.directed_edges  # sorted in the first round; every round's graph splices it
-        return infra.edited([(c, v) for c in disabled for v in range(r, n)])
+    def cut(*centers: int) -> list[Edge]:  # the centers' terminal edges, centers mod r
+        return [(c % r, v) for c in centers for v in range(r, n)]
 
     schedule = AdversarySchedule(
         n=n,
         horizon=horizon,
-        rounds=RoundSource(lambda t: firsts[t - 1], build),
+        rounds=RoundSource(
+            lambda t: firsts[t - 1],
+            lambda first: infra.edited(cut(*range(first, first + fail_count))),
+            lambda kept, first: (cut(kept + fail_count), cut(kept)) if first == (kept + 1) % r else None,
+        ),
         mode="oblivious",
         metadata=metadata,
         cyclic_extendable=True,

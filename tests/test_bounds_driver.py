@@ -4,12 +4,18 @@ that the three scripts it replaced (`lower_bound_sweep.py`,
 flags, and the `line` CSV data columns are theirs byte for byte.  Timing
 fields (per-round milliseconds, wall seconds) are masked."""
 
+import importlib.util
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from gossipsim.core import run_simulation
+from gossipsim.harness import initial_state
+from gossipsim.protocols import get_protocol
+from gossipsim.skb_adversary import SkbAdversaryParams, build_skb_adversary
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bounds.py"
 CSV_HEAD = "n,seed,adversary,protocol,completion_round,sentinel_round\n"
@@ -99,3 +105,39 @@ def test_driver_prints_the_old_scripts_statistics(tmp_path, args, expected, csv)
         name, rows = csv
         assert data_columns(tmp_path / name) == CSV_HEAD + rows
         assert (tmp_path / f"{name}.meta.json").exists()
+
+
+def test_skb_cell_is_the_old_demo_run(monkeypatch, capsys):
+    """The `skb` subcommand runs one harness cell: skb-uniform from the
+    single source, cell seed 1 and the adversary seed `--seed`, to the
+    horizon.  Its final arrivals equal the old demo's direct
+    `run_simulation(..., seed=1)`, which a wrong protocol seed would not
+    give: at this size no segment crosses, so the printed line cannot tell."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src
+    spec = importlib.util.spec_from_file_location("bounds_driver", SCRIPT)
+    bounds = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bounds)
+    cells, run_cell = [], bounds.run_cell
+
+    def recorded(config, n, seed, keep_result=False):
+        cells.append((config, n, seed, keep_result, run_cell(config, n, seed, keep_result)))
+        return cells[-1][-1]
+
+    monkeypatch.setattr(bounds, "run_cell", recorded)
+    monkeypatch.setattr(sys, "argv", ["bounds.py", "skb", "--n", "256", "--seed", "3"])
+    bounds.main()
+    assert "crossed=0" in capsys.readouterr().out
+    [(config, n, seed, keep_result, cell)] = cells
+    schedule = build_skb_adversary(SkbAdversaryParams(256, seed=3))
+    assert (config.adversary, config.protocol, config.initial) == (
+        {"name": "skb-blocker", "seed": 3}, {"name": "skb-uniform"}, {"kind": "single-source"}
+    )
+    assert (n, seed, keep_result, config.max_rounds) == (256, 1, True, schedule.horizon)
+    finals = [
+        run_simulation(
+            schedule, get_protocol("skb-uniform"),
+            initial_state({"kind": "single-source"}, 256, schedule), schedule.horizon, seed=s,
+        ).final_state.arrivals
+        for s in (1, 2)
+    ]
+    assert cell.result.final_state.arrivals == finals[0] != finals[1]

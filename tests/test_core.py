@@ -1094,6 +1094,44 @@ class TestRoundSource:
                 assert views == fresh[k], f"{name} walk, segment {k}"
 
     @pytest.mark.parametrize(
+        "spec, n",
+        [
+            ({"name": "ring-failure", "policy": "round-robin", "horizon": 60}, 16),
+            ({"name": "ring-failure", "policy": "random", "horizon": 60}, 16),
+            ({"name": "ring-failure", "policy": "fixed-edge", "horizon": 60}, 16),
+            ({"name": "center-terminal", "r": 3, "horizon": 30}, 20),
+            ({"name": "center-terminal", "r": 4, "horizon": 30}, 20),
+            ({"name": "center-terminal", "r": 8, "horizon": 30}, 20),
+        ],
+        ids=["ring-round-robin", "ring-random", "ring-fixed-edge", "ct-r3", "ct-r4", "ct-r8"],
+    )
+    def test_derived_rounds_match_fresh_builds(self, spec, n):
+        """Walked forwards (into the cyclic tail), backwards, skipping and
+        zigzagging, every paths-respecting round equals a fresh build of its
+        key in edges, directed edges and adjacency; both caches are read at
+        every step, so each derived round splices both.  Walked in order,
+        every ring round from the second on already holds the adjacency
+        spliced from its predecessor's."""
+        reference = build_schedule(spec, n, 3)
+        rounds = reference.rounds
+        horizon = reference.horizon
+        fresh = {t: _fresh_views(rounds.build(rounds.key_of(t))) for t in range(1, horizon + 1)}
+        walks = {
+            "forwards": list(range(1, horizon + 3)),
+            "backwards": list(range(horizon, 0, -1)),
+            "skipping": [t for t in range(1, horizon + 1) if t % 3 != 2],
+            "zigzag": [t for j in range(1, horizon - 1) for t in (j, j + 2, j + 1)],
+        }
+        for name, walk in walks.items():
+            schedule = build_schedule(spec, n, 3)
+            for t in walk:
+                snap = schedule.snapshot_at(t)
+                if name == "forwards" and t >= 2 and spec["name"] == "ring-failure":
+                    assert snap._adjacency is not None, f"round {t} rebuilds its adjacency"
+                views = (snap.edges, snap.directed_edges, snap.adjacency)
+                assert views == fresh[min(t, horizon)], f"{name} walk, round {t}"
+
+    @pytest.mark.parametrize(
         "spec, n", [("blocker-invasive", 4096), ("skb-blocker", 2048)], ids=["invasive", "skb"]
     )
     def test_in_order_walk_edits_only_the_moved_pairs(self, spec, n, monkeypatch):

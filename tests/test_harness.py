@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from gossipsim import core
 from gossipsim.cli import main as cli_main
 from gossipsim.core import (
     AdversarySchedule,
@@ -33,6 +34,7 @@ from gossipsim.harness import (
     summarize_sweep,
     sweep,
 )
+from gossipsim.protocols import get_protocol
 
 
 def flood_config(out=None, n_list=(4,), seeds=(0,)):
@@ -264,6 +266,33 @@ class TestSentinelPlumbing:
         arrivals = load_trace(path)
         assert arrivals == cell.result.final_state.arrivals
 
+    def test_trace_reads_the_arrival_views_once(self, tmp_path, monkeypatch):
+        """`save_trace` builds one arrival view per node (n views, not n²),
+        and writes the bytes it wrote when it indexed `state.arrivals[v]`."""
+        n = 48
+        cell = run_cell(
+            ExperimentConfig({"name": "random", "horizon": 40}, {"name": "rand-diff"},
+                             {"kind": "one-token-per-node"}, [n], [3], 4000),
+            n, 3, keep_result=True,
+        )
+        state = cell.result.final_state
+        expected = json.dumps({
+            "n": n,
+            "arrivals": [{str(tok): rnd for tok, rnd in state.arrivals[v].items()} for v in range(n)],
+        }) + "\n"
+        built = []
+        view_init = core.ArrivalView.__init__
+
+        def counted(self, state, node):
+            built.append(node)
+            view_init(self, state, node)
+
+        monkeypatch.setattr(core.ArrivalView, "__init__", counted)
+        path = tmp_path / "trace.json"
+        save_trace(state, path)
+        assert built == list(range(n))
+        assert path.read_text(encoding="utf-8") == expected
+
 
 class TestCli:
     def test_gen_validate_round_trip(self, tmp_path):
@@ -414,11 +443,25 @@ class TestCli:
                 "ERROR: unknown central-kgossip key 'c_s'",
             ),
             ({"measure": "sentinal"}, "ERROR: measure 'sentinal' is not 'completion' or 'sentinel'"),
+            (
+                {"initial": {"kind": "single-source", "real_tokens": 2}},
+                "ERROR: unknown single-source key 'real_tokens'",
+            ),
+            (
+                {"initial": {"kind": "one-token-per-node", "tokens": 4}},
+                "ERROR: unknown one-token-per-node key 'tokens'",
+            ),
+            (
+                {"initial": {"kind": "file", "path": "start.json", "source": 1}},
+                "ERROR: unknown file key 'source'",
+            ),
+            ({"initial": {"kind": "file"}}, "ERROR: missing key 'path'"),
         ],
         ids=[
             "missing-n", "adversary-without-name", "unknown-adversary",
             "dynamic-without-horizon", "central-broadcast-unknown-key", "central-kgossip-unknown-key",
             "central-broadcast-c-phase", "central-kgossip-c-s", "bad-measure",
+            "single-source-real-tokens", "one-token-per-node-tokens", "file-source", "file-without-path",
         ],
     )
     def test_config_error_line_names_the_problem(self, tmp_path, capsys, change, line):
@@ -549,6 +592,28 @@ class TestCli:
 
     def test_csv_text_header_stable(self):
         assert rows_to_csv_text([]).strip() == ",".join(CSV_HEADER)
+
+
+class TestInitialState:
+    def test_file_start_reads_universe_and_holdings(self, tmp_path):
+        """`kind: file` reads a JSON file of the universe (size and real
+        count) and each node's tokens, keyed by node id as a string; a cell
+        run from it equals a run from the same state built directly."""
+        start = tmp_path / "start.json"
+        start.write_text(json.dumps(
+            {"universe": {"size": 6, "real": 4}, "holdings": {"0": [0, 1], "5": [2, 3, 4, 5]}}
+        ))
+        spec = {"kind": "file", "path": str(start)}
+        schedule = build_schedule({"name": "static-line"}, 8, 1)
+        state = initial_state(spec, 8, schedule)
+        expected = TokenState(8, TokenUniverse(6, 4), {0: [0, 1], 5: [2, 3, 4, 5]})
+        assert state == expected
+        assert [sorted(state.tokens(v)) for v in (0, 5, 7)] == [[0, 1], [2, 3, 4, 5], []]
+        config = ExperimentConfig({"name": "static-line"}, {"name": "rand-diff"}, spec, [8], [2], 500)
+        cell = run_cell(config, 8, 2, keep_result=True)
+        direct = run_simulation(schedule, get_protocol("rand-diff"), expected, 500, 2)
+        assert cell.completion_round == direct.completion_round is not None
+        assert cell.result.final_state == direct.final_state
 
 
 class TestCentralDispatch:
